@@ -286,7 +286,7 @@ def _lm_many(disk: UnitDisk, dirs: np.ndarray) -> np.ndarray:
     C = np.concatenate([[0.0], np.cumsum(W)])  # arc length up to vertex i
     q = unit_vectors(disk, dirs)
     m = np.arange(len(q))
-    idx = (_wedge_of(disk, q, values=False)[:, None] + 1 + np.arange(h)) % n
+    idx = (_wedge_of(disk, *q.T)[0][:, None] + 1 + np.arange(h)) % n
     G = gauge_many(disk, V[idx] - q[:, None, :])
     k = np.argmax(G >= 1.0, axis=1)
     beyond = G[m, k] < 1.0  # the crossing lies on the edge holding -q
@@ -301,7 +301,7 @@ def _lm_many(disk: UnitDisk, dirs: np.ndarray) -> np.ndarray:
     x_plus = prev + np.clip(t, 0.0, 1.0)[:, None] * d
 
     def arc_pos(x):
-        j = _wedge_of(disk, x, values=False)
+        j = _wedge_of(disk, *x.T)[0]
         s = np.einsum("ij,ij->i", x - V[j], E[j]) / np.einsum("ij,ij->i", E[j], E[j])
         return C[j] + s * W[j]
 
@@ -455,7 +455,7 @@ def reuleaux_two_sides(body: ConvexBody, a, b) -> np.ndarray:
 # -- the bounding parallelogram certificate -------------------------------
 
 def _edge_direction_at(disk: UnitDisk, x: np.ndarray) -> np.ndarray:
-    j = int(_wedge_of(disk, x[None, :], values=False)[0])
+    j = int(_wedge_of(disk, *x[:, None])[0][0])
     V = disk.vertices
     e = V[(j + 1) % len(V)] - V[j]
     return e / math.hypot(e[0], e[1])

@@ -7,23 +7,27 @@ and gauge(f_i - f_k) >= gauge(f_j - f_k) hold.  Vertices are checked
 pairwise; edge interiors are covered by a one-sided derivative test at
 every edge start, sound because the gauge of an affine path is convex.
 
-The scan routines are written against plain arrays plus a gauge callback
-so that the d-dimensional Chebyshev module can reuse them.
+One kernel serves both halves: per pair of points it takes the gauge and
+both edge slopes from one callback of the norm, so the d-dimensional
+Chebyshev module reuses it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GeometryError, UnsupportedDiskError
-from .normplane import (UnitDisk, as_vec, gauge, gauge_many, _wedge_of,
-                        _cross, TWO_PI)
+from .normplane import (UnitDisk, as_vec, gauge, gauge_many, TWO_PI,
+                        _cone_gauge, _wedge_of)
 
-_CHUNK_ELEMS = 2_000_000
-_EDGE_STEP = 1e-6  # parameter step for the forward-difference edge test
+_BLOCK_ELEMS = 1 << 16  # pairs per row block of the chord kernel, at most
+_BLOCK_ROWS = 32  # rows per block, at most: a block discards B^2 / 2 pairs h <= l
+_PAST_VERTEX = 1e-6  # witness notation: j + 1e-6 is a point just past vertex j
+_RAY_SCREEN = 2e-12  # angle from a cone's boundary ray that gets the ray test
 _MAX_WITNESSES = 16
 
 
@@ -111,147 +115,141 @@ class BisectorSample:
     samples: Polyline
 
 
-# -- scan engine ----------------------------------------------------------
+# -- chord kernel ---------------------------------------------------------
 
-def _chunks(total: int, width: int):
-    step = max(1, _CHUNK_ELEMS // max(1, width))
-    for a in range(0, total, step):
-        yield a, min(a + step, total)
+def _pair_terms(PT, ET, gET, pair_terms, l0, l1, h0, h1, reverse=True):
+    """gauge(w) and its right derivatives along E_h and, if `reverse`,
+    along E_{l-1} (else None) for the pairs l0 <= l < l1, h0 <= h < h1,
+    w = P_h - P_l; see _edge_table.
+
+    The norm's callback pair_terms(W, Ef, Er) takes W component first,
+    (dim, B, N), and edges that broadcast against it, or None for a
+    derivative not needed.  At w = 0 the derivative along e is gauge(e).
+    """
+    W = PT[:, None, h0:h1] - PT[:, l0:l1, None]
+    g, sf, sr = pair_terms(W, ET[:, None, h0 + 1:h1 + 1],
+                           ET[:, l0:l1, None] if reverse else None)
+    at = np.nonzero(g == 0.0)
+    at = tuple(i[(PT[:, at[1] + h0] == PT[:, at[0] + l0]).all(axis=0)] for i in at)
+    sf[at] = gET[at[1] + h0 + 1]
+    if reverse:
+        sr[at] = gET[at[0] + l0]
+    return g, sf, sr
 
 
-def _vertex_scan(P: np.ndarray, gaugef, tol: float):
-    """Largest violation of: for every anchor i and i < j < k,
-    gauge(P_i - P_k) >= gauge(P_i - P_j).  Returns (deficit, witnesses)."""
+def _edge_table(P, pair_terms):
+    """ET[:, k + 1] = E_k, zero where no edge is, and the gauges gET of
+    its columns."""
+    ET = np.zeros((P.shape[1], len(P) + 1))
+    ET[:, 1:len(P)] = (P[1:] - P[:-1]).T
+    return ET, pair_terms(ET[:, None, :], None, None)[0][0]
+
+
+def _run_two_sided(P: np.ndarray, pair_terms, tol: float):
+    """Both halves of the reduction on an open polyline P of shape (n, d).
+
+    Each pair l < h is evaluated once: gauge(w) serves the vertex scans of
+    both halves (gauge(-w) = gauge(w)), the slope along E_h the forward
+    edge test at anchor l, the slope along E_{l-1} the reversed one at h.
+    Row blocks go bottom up; a reversed scan runs up a column and carries
+    a running max or min per column, so memory is O(block + n).  The first
+    4 * 16 violating lines of each scan, in its own order, are computed
+    again alone to place their witnesses.
+    """
     n = len(P)
-    best = 0.0
+    PT = np.ascontiguousarray(P.T)
+    ET, gET = _edge_table(P, pair_terms)
+    gE = gET[1:n]
+    fv, fe, rv, re = np.full((4, n), -np.inf)  # deficit per row, per column
+    # per column: max gauge, min reversed slope over the rows done so far
+    top, low = np.full(n, -np.inf), np.full(n, np.inf)
+    step = max(1, min(_BLOCK_ELEMS // n, _BLOCK_ROWS))
+    for l1 in range(n - 1, 0, -step):
+        l0 = max(0, l1 - step)
+        B = l1 - l0
+        g, sf, sr = _pair_terms(PT, ET, gET, pair_terms, l0, l1, l0 + 1, n)
+        dead = np.arange(B - 1)[None, :] < np.arange(B)[:, None]  # h <= l
+        D = np.vstack([g, top[l0 + 1:]])
+        D[:B, :B - 1][dead] = -np.inf
+        # forward: max over l < j < h of gauge(P_j - P_l), less gauge(w)
+        run = np.maximum.accumulate(D[:B], axis=1)
+        fv[l0:l1] = (run[:, :-1] - g[:, 1:]).max(axis=1, initial=-np.inf)
+        # reversed: max over l < j < h of gauge(P_h - P_j), less gauge(w)
+        for i in range(B - 1, -1, -1):
+            np.maximum(D[i], D[i + 1], out=D[i])
+        np.maximum(rv[l0 + 1:], (D[1:] - g).max(axis=0), out=rv[l0 + 1:])
+        top[l0 + 1:] = D[0]
+        sf[:, :B - 1][dead] = sr[:, :B - 1][dead] = np.inf
+        # no edge starts at the last point, nor ends at the first
+        fe[l0:l1] = -np.minimum(gE[l0:l1], sf[:, :-1].min(axis=1, initial=np.inf))
+        np.minimum(low[l0 + 1:], sr[int(l0 == 0):].min(axis=0, initial=np.inf),
+                   out=low[l0 + 1:])
+    re[1:] = -np.minimum(gE, low[1:])
+    deficit = max(0.0, float(max(fv.max(), fe.max(), rv.max(), re.max())))
+
+    def line(*lh):
+        return [t.ravel() for t in _pair_terms(PT, ET, gET, pair_terms, *lh)]
+
+    cap = 4 * _MAX_WITNESSES
     wits = []
-    if n < 3:
-        return best, wits
-    idx = np.arange(n)[None, :]
-    for a0, a1 in _chunks(n - 2, n):
-        A = np.arange(a0, a1)
-        D = gaugef(P[None, :, :] - P[A, None, :])
-        Dm = np.where(idx > A[:, None], D, -np.inf)
-        run = np.maximum.accumulate(Dm, axis=1)
-        prev = np.empty_like(run)
-        prev[:, 0] = -np.inf
-        prev[:, 1:] = run[:, :-1]
-        viol = np.where(idx >= A[:, None] + 2, prev - D, -np.inf)
-        rowmax = viol.max(axis=1)
-        best = max(best, float(rowmax.max()))
-        for r in np.nonzero(rowmax > tol)[0]:
-            if len(wits) >= 4 * _MAX_WITNESSES:
-                break
-            i = int(A[r])
-            k = int(np.argmax(viol[r]))
-            j = i + 1 + int(np.argmax(Dm[r, i + 1:k]))
-            wits.append(Witness((i, i, j, k), float(rowmax[r])))
-    return best, wits
-
-
-def _edge_scan(P: np.ndarray, anchors: np.ndarray, gaugef, dplusf,
-               tol: float, after=None, anchor_ids=None):
-    """Largest violation of: gauge(f(t) - anchor) is nondecreasing at the
-    start of each edge.  `after`, when given, restricts anchor row m to
-    edges starting at index >= after[m].  Deficits are reported as the
-    negated derivative along the full edge vector (gauge units)."""
-    n = len(P)
-    best = 0.0
-    wits = []
-    if n < 2 or len(anchors) == 0:
-        return best, wits
-    E = P[1:] - P[:-1]
-    starts = P[:-1]
-    ecols = n - 1
-    jdx = np.arange(ecols)[None, :]
-    for a0, a1 in _chunks(len(anchors), ecols):
-        A = anchors[a0:a1]
-        W0 = starts[None, :, :] - A[:, None, :]
-        if dplusf is None:
-            G0 = gaugef(W0)
-            Gh = gaugef(W0 + _EDGE_STEP * E[None, :, :])
-            slope = (Gh - G0) / _EDGE_STEP
-        else:
-            slope = dplusf(W0, E)
-        deficit = -slope
-        if after is not None:
-            deficit = np.where(jdx >= after[a0:a1, None], deficit, -np.inf)
-        rowmax = deficit.max(axis=1)
-        best = max(best, float(rowmax.max()))
-        for r in np.nonzero(rowmax > tol)[0]:
-            if len(wits) >= 4 * _MAX_WITNESSES:
-                break
-            j = int(np.argmax(deficit[r]))
-            d = float(rowmax[r])
-            if after is not None:
-                i = a0 + r
-                wits.append(Witness((i, i, j, j + _EDGE_STEP), d))
-            else:
-                aid = (a0 + r) if anchor_ids is None else anchor_ids[a0 + r]
-                wits.append(Witness((j, j, j + _EDGE_STEP, j + _EDGE_STEP), d,
-                                    anchor=int(aid)))
-    return best, wits
-
-
-def _remap_reversed(wits, n):
-    out = []
-    for w in wits:
-        a, b, c, d = (n - 1 - x for x in w.quad)
-        out.append(Witness((d, c, b, a), w.deficit, w.anchor))
-    return out
-
-
-def _run_two_sided(P: np.ndarray, gaugef, dplusf, tol: float):
-    """Both halves of the reduction on an open polyline given as an array."""
-    deficits = []
-    wits = []
-    after = np.arange(len(P) - 1)
-    for flip in (False, True):
-        Q = P[::-1] if flip else P
-        dv, wv = _vertex_scan(Q, gaugef, tol)
-        de, we = _edge_scan(Q, Q[:-1], gaugef, dplusf, tol, after=after)
-        if flip:
-            wv = _remap_reversed(wv, len(P))
-            we = _remap_reversed(we, len(P))
-        deficits += [dv, de]
-        wits += wv + we
+    for l in np.flatnonzero(fv > tol)[:cap].tolist():
+        g = line(l, l + 1, l + 1, n)[0]
+        k = l + 2 + int(np.argmax(np.maximum.accumulate(g)[:-1] - g[1:]))
+        j = l + 1 + int(np.argmax(g[:k - l - 1]))
+        wits.append(Witness((l, l, j, k), float(fv[l])))
+    for l in np.flatnonzero(fe > tol)[:cap].tolist():
+        sf = line(l, l + 1, l + 1, n)[1]
+        j = l + int(np.argmin(np.concatenate(([gE[l]], sf[:-1]))))
+        wits.append(Witness((l, l, j, j + _PAST_VERTEX), float(fe[l])))
+    # reversed scans: columns from the last point down, each bottom up
+    for h in np.flatnonzero(rv > tol)[::-1][:cap].tolist():
+        g = line(0, h, h, h + 1)[0][::-1]
+        t = int(np.argmax(np.maximum.accumulate(g)[:-1] - g[1:]))
+        j = h - 1 - int(np.argmax(g[:t + 1]))
+        wits.append(Witness((h - 2 - t, j, h, h), float(rv[h])))
+    for h in np.flatnonzero(re > tol)[::-1][:cap].tolist():
+        sr = line(0, h, h, h + 1)[2]
+        l = h - int(np.argmin(np.concatenate(([gE[h - 1]], sr[:0:-1]))))
+        # n - 1 - l indexes the edge along the reversed curve
+        wits.append(Witness((n - 1 - (n - 1 - l + _PAST_VERTEX), l, h, h),
+                            float(re[h])))
     wits.sort(key=lambda w: -w.deficit)
-    return max(deficits), wits[:_MAX_WITNESSES]
+    return deficit, wits[:_MAX_WITNESSES]
 
 
-def _dplus_disk_factory(disk: UnitDisk):
-    """One-sided derivative of the gauge: D+ gauge(w; e), exact on the
-    normal fan of a polygonal disk.  Returns None for sampled disks (the
-    forward-difference path is used instead)."""
-    if not disk.is_polygonal:
-        return None
-    V = disk.vertices
-    G = disk._grad
+def _disk_pair_terms(disk: UnitDisk):
+    """pair_terms of a planar disk, exact on its boundary polygon.
+
+    On the cone j of w, from _wedge_of, gauge(w) = <grad_j, w>, and the
+    right derivative along e is <grad_j, e>, or on a boundary ray of the
+    cone (|cross(V_j, w)| <= 1e-12 |V_j| |w|) the larger one of it and its
+    neighbour's.  The ray test runs only where an angle screen (angles
+    are good to 1e-14) asks.
+    """
+    V, ang = disk.vertices, disk._ang
     m = len(V)
+    ang_next = np.append(ang[1:], ang[0] + TWO_PI)
+    # gradients padded so that cone j sits at j + 1 between its neighbours
+    gx, gy = np.concatenate([disk._grad[-1:], disk._grad, disk._grad[:1]]).T
+    vn = np.hypot(V[:, 0], V[:, 1])
 
-    def dplus(W0, E):
-        shape = W0.shape[:-1]
-        flat = W0.reshape(-1, 2)
-        e = np.broadcast_to(E[None, :, :], W0.shape).reshape(-1, 2)
-        j = _wedge_of(disk, flat, values=False)
-        s = np.einsum("ij,ij->i", G[j], e)
-        # on the boundary ray of a cone the steeper neighbour governs
-        scale = np.hypot(flat[:, 0], flat[:, 1])
-        lo = np.abs(_cross(V[j], flat)) <= 1e-12 * scale * np.hypot(V[j, 0], V[j, 1])
-        if lo.any():
-            s2 = np.einsum("ij,ij->i", G[(j - 1) % m], e)
-            s = np.where(lo, np.maximum(s, s2), s)
-        hi = np.abs(_cross(V[(j + 1) % m], flat)) <= \
-            1e-12 * scale * np.hypot(*V[(j + 1) % m].T)
-        if hi.any():
-            s3 = np.einsum("ij,ij->i", G[(j + 1) % m], e)
-            s = np.where(hi, np.maximum(s, s3), s)
-        zero = scale == 0.0
-        if zero.any():
-            s = np.where(zero, gauge_many(disk, e), s)
-        return s.reshape(shape)
+    def pair_terms(W, Ef, Er):
+        x, y = W[0], W[1]
+        j, r = _wedge_of(disk, x, y)
+        g = _cone_gauge(disk, j, x, y)
+        lo, hi = np.zeros((2,) + g.shape, dtype=bool)
+        at = np.nonzero((r - ang[j] < _RAY_SCREEN) | (ang_next[j] - r < _RAY_SCREEN))
+        if at[0].size:
+            xs, ys, js = x[at], y[at], j[at]
+            scale = 1e-12 * np.hypot(xs, ys)
+            jn = (js + 1) % m
+            lo[at] = np.abs(V[js, 0] * ys - V[js, 1] * xs) <= scale * vn[js]
+            hi[at] = np.abs(V[jn, 0] * ys - V[jn, 1] * xs) <= scale * vn[jn]
+        G = [(gx[i], gy[i]) for i in (j + 1, j + 1 - lo, j + 1 + hi)]
+        return (g,) + tuple(None if E is None else functools.reduce(
+            np.maximum, [a * E[0] + b * E[1] for a, b in G]) for E in (Ef, Er))
 
-    return dplus
+    return pair_terms
 
 
 def _default_tol(disk: UnitDisk, tol):
@@ -273,18 +271,17 @@ def check_increasing_chords(disk: UnitDisk, curve: Polyline,
                             tol: float | None = None) -> ChordReport:
     """Verdict for the increasing chord property of an open polyline.
 
-    Mode is exact_polygonal for polygonal disks (edge behaviour decided
-    from the normal fan, default tol 1e-9) and tolerance otherwise
-    (forward differences, default tol 1e-6).
+    Edges are tested with the exact one-sided derivative of the gauge on
+    the disk's boundary polygon.  Mode is exact_polygonal for polygonal
+    disks (default tol 1e-9) and tolerance for sampled ones, whose polygon
+    approximates the body (default tol 1e-6).
     """
     if curve.closed:
         raise ValueError("check_increasing_chords: curve must be open")
     if len(curve) < 2:
         raise ValueError("check_increasing_chords: need at least 2 points")
     tol = _default_tol(disk, tol)
-    gaugef = lambda W: gauge_many(disk, W)
-    dplusf = _dplus_disk_factory(disk)
-    deficit, wits = _run_two_sided(curve.points, gaugef, dplusf, tol)
+    deficit, wits = _run_two_sided(curve.points, _disk_pair_terms(disk), tol)
     mode = "exact_polygonal" if disk.is_polygonal else "tolerance"
     return ChordReport(holds=deficit <= tol, max_deficit=deficit,
                        witnesses=wits if deficit > tol else [],
@@ -306,32 +303,34 @@ def check_increasing_wrt_set(disk: UnitDisk, curve: Polyline, anchors,
         raise ValueError("check_increasing_wrt_set: anchors must be a "
                          "non-empty (m, 2) array")
     tol = _default_tol(disk, tol)
-    gaugef = lambda W: gauge_many(disk, W)
-    dplusf = _dplus_disk_factory(disk)
+    pair_terms = _disk_pair_terms(disk)
     P = curve.points
-    n = len(P)
+    n, m = len(P), len(A)
+    # anchors are rows n.. of the point table, curve points its columns
+    PT = np.ascontiguousarray(np.concatenate([P, A]).T)
+    ET, gET = _edge_table(P, pair_terms)
     best = 0.0
-    wits = []
-    idx = np.arange(n)[None, :]
-    for a0, a1 in _chunks(len(A), n):
-        D = gaugef(P[None, :, :] - A[a0:a1, None, :])
-        run = np.maximum.accumulate(D, axis=1)
-        prev = np.empty_like(run)
-        prev[:, 0] = -np.inf
-        prev[:, 1:] = run[:, :-1]
-        viol = np.where(idx >= 1, prev - D, -np.inf)
-        rowmax = viol.max(axis=1)
-        best = max(best, float(rowmax.max()))
-        for r in np.nonzero(rowmax > tol)[0]:
-            if len(wits) >= 4 * _MAX_WITNESSES:
-                break
-            k = int(np.argmax(viol[r]))
-            j = int(np.argmax(D[r, :k]))
-            wits.append(Witness((j, j, k, k), float(rowmax[r]), anchor=a0 + r))
-    de, we = _edge_scan(P, A, gaugef, dplusf, tol)
-    best = max(best, de)
-    wits += we
-    wits.sort(key=lambda w: -w.deficit)
+    cap = 4 * _MAX_WITNESSES
+    vwits, ewits = [], []
+    step = max(1, _BLOCK_ELEMS // n)
+    for a0 in range(0, m, step):
+        a1 = min(a0 + step, m)
+        g, sf, _ = _pair_terms(PT, ET, gET, pair_terms, n + a0, n + a1, 0, n,
+                               reverse=False)
+        viol = np.maximum.accumulate(g, axis=1)[:, :-1] - g[:, 1:]
+        vmax = viol.max(axis=1)
+        sf[:, -1] = np.inf  # no edge starts at the last point
+        emax = -sf.min(axis=1)
+        best = max(best, float(vmax.max()), float(emax.max()))
+        for r in np.flatnonzero(vmax > tol)[:cap - len(vwits)].tolist():
+            k = 1 + int(np.argmax(viol[r]))
+            j = int(np.argmax(g[r, :k]))
+            vwits.append(Witness((j, j, k, k), float(vmax[r]), anchor=a0 + r))
+        for r in np.flatnonzero(emax > tol)[:cap - len(ewits)].tolist():
+            j = int(np.argmin(sf[r]))
+            ewits.append(Witness((j, j, j + _PAST_VERTEX, j + _PAST_VERTEX),
+                                 float(emax[r]), anchor=a0 + r))
+    wits = sorted(vwits + ewits, key=lambda w: -w.deficit)
     mode = "exact_polygonal" if disk.is_polygonal else "tolerance"
     return ChordReport(holds=best <= tol, max_deficit=best,
                        witnesses=wits[:_MAX_WITNESSES] if best > tol else [],

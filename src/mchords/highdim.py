@@ -69,23 +69,18 @@ def chebyshev_arclength(curve: PolylineD) -> float:
     return float(np.abs(curve.edges()).max(axis=1).sum())
 
 
-def _cheb_gauge(W: np.ndarray) -> np.ndarray:
-    return np.abs(W).max(axis=-1)
-
-
-def _cheb_dplus(W0: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Right derivative of the max norm at W0 rows along edge vectors E:
-    the largest signed rate among the active coordinates."""
-    A = np.abs(W0)
-    m = A.max(axis=-1, keepdims=True)
+def _cheb_pair_terms(W: np.ndarray, Ef, Er):
+    """pair_terms of the max norm for (dim, ...) difference vectors W: the
+    gauge, and the right derivatives along Ef and Er, each the largest
+    signed rate among the active coordinates (the cone of W is its set of
+    active coordinates with their signs)."""
+    A = np.abs(W)
+    m = A.max(axis=0)
     active = A >= m - 1e-12 * np.maximum(m, 1.0)
-    S = np.sign(W0) * np.broadcast_to(E[None, :, :], W0.shape)
-    slope = np.where(active, S, -np.inf).max(axis=-1)
-    m0 = m[..., 0]
-    if np.any(m0 == 0.0):
-        ce = np.broadcast_to(_cheb_gauge(E)[None, :], m0.shape)
-        slope = np.where(m0 == 0.0, ce, slope)
-    return slope
+    S = np.sign(W)
+    return (m,) + tuple(None if E is None else
+                        np.where(active, S * E, -np.inf).max(axis=0)
+                        for E in (Ef, Er))
 
 
 def check_increasing_chords_dd(curve: PolylineD, samples_per_edge: int = 8,
@@ -110,7 +105,7 @@ def check_increasing_chords_dd(curve: PolylineD, samples_per_edge: int = 8,
     aug = np.concatenate([
         np.concatenate([P[:-1, None, :], inner], axis=1).reshape(-1, dim),
         P[-1:]], axis=0)
-    deficit, wits = _run_two_sided(aug, _cheb_gauge, _cheb_dplus, float(tol))
+    deficit, wits = _run_two_sided(aug, _cheb_pair_terms, float(tol))
     scale = 1.0 / (spe + 1)
     wits = [Witness(tuple(x * scale for x in w.quad), w.deficit, w.anchor)
             for w in wits]

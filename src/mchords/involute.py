@@ -304,7 +304,7 @@ def involute_support_direction(curve: InvoluteCurve, theta: float) -> InvoluteSu
     point = curve.point_at(theta)
     Vd = norm.vertices
     md = len(Vd)
-    j = int(_wedge_of(norm, x[None, :], values=False)[0])
+    j = int(_wedge_of(norm, *x[:, None])[0][0])
     if norm.is_polygonal:
         tol = 1e-9 * norm.diameter
         for cand in (j, (j + 1) % md):

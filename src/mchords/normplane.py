@@ -288,28 +288,35 @@ def gauge_many(disk: UnitDisk, V) -> np.ndarray:
     Vectorized; V may have any leading shape with trailing axis 2.
     """
     V = np.asarray(V, dtype=float)
-    flat = V.reshape(-1, 2)
-    out = _wedge_of(disk, flat, values=True)
-    return out.reshape(V.shape[:-1])
-
-
-def _wedge_of(disk: UnitDisk, flat: np.ndarray, values: bool):
-    """Locate the boundary wedge containing each direction; optionally
-    evaluate the gauge there."""
-    a0 = disk._ang[0]
-    ang = np.arctan2(flat[:, 1], flat[:, 0])
-    r = a0 + np.mod(ang - a0, TWO_PI)
-    j = np.searchsorted(disk._ang, r, side="right") - 1
-    np.clip(j, 0, len(disk._ang) - 1, out=j)
-    if not values:
-        return j
-    e = disk._edge[j]
-    c = disk._edge_c[j]
-    g = (e[:, 0] * flat[:, 1] - e[:, 1] * flat[:, 0]) / c
-    zero = (flat[:, 0] == 0.0) & (flat[:, 1] == 0.0)
+    x, y = V.reshape(-1, 2).T
+    g = _cone_gauge(disk, _wedge_of(disk, x, y)[0], x, y)
+    zero = (x == 0.0) & (y == 0.0)
     if zero.any():
         g = np.where(zero, 0.0, g)
-    return g
+    return g.reshape(V.shape[:-1])
+
+
+def _wedge_of(disk: UnitDisk, x: np.ndarray, y: np.ndarray):
+    """Cone j of each direction (x, y), the wedge over boundary edge j
+    holding it, and its polar angle r wrapped to [a0, a0 + 2 pi), a0 =
+    _ang[0], so that _ang[j] <= r < _ang[j + 1].
+
+    x and y are component arrays of one shape.  The wrap is np.mod's,
+    done by compare and add, since arctan2 - a0 lies in [-pi, 2 pi].
+    """
+    a0 = disk._ang[0]
+    r = np.arctan2(y, x) - a0
+    r[r >= TWO_PI] = 0.0
+    r += (r < 0.0) * TWO_PI
+    r += a0
+    j = np.searchsorted(disk._ang, r, side="right") - 1
+    np.minimum(j, len(disk._ang) - 1, out=j)
+    return j, r
+
+
+def _cone_gauge(disk: UnitDisk, j, x, y):
+    """Gauge of (x, y) on cone j, where it is linear."""
+    return (disk._edge[j, 0] * y - disk._edge[j, 1] * x) / disk._edge_c[j]
 
 
 def gauge(disk: UnitDisk, v) -> float:
@@ -337,8 +344,7 @@ def gauge_gradients(disk: UnitDisk, W) -> np.ndarray:
     reported.
     """
     W = np.asarray(W, dtype=float).reshape(-1, 2)
-    j = _wedge_of(disk, W, values=False)
-    return disk._grad[j]
+    return disk._grad[_wedge_of(disk, *W.T)[0]]
 
 
 # -- support lines --------------------------------------------------------

@@ -185,8 +185,11 @@ def test_criterion_5_involute_suite():
         half = build_involute(norm, base, p, 0.0, PI, 512)
         V = base.vertices
         step = max(1, len(V) // 48)
-        anchors = np.concatenate([V[::step], 0.6 * V[::4 * step],
-                                  [V.mean(axis=0)]])
+        # anchors in the base: boundary points, points scaled toward the
+        # centroid c (0.4 c + 0.6 v lies in the convex base) and c itself
+        c = V.mean(axis=0)
+        anchors = np.concatenate([V[::step], c + 0.6 * (V[::4 * step] - c),
+                                  [c]])
         n_wrt += check_increasing_wrt_set(norm, half.points, anchors,
                                           tol=1e-3).holds
     el = time.perf_counter() - t0
