@@ -1,12 +1,15 @@
-"""Chord-length bounds via translate intersections.
+"""Chord-length bounds from arcs of the unit circle.
 
 For a norm disk M and points p, q with gauge(q - p) = 1, the quantity
 of interest is half the M-perimeter of the lens (p + M) Intersect (q + M):
 it bounds the M-length of every curve from p to q with increasing
-chords, and is attained by two sides of a Reuleaux triangle.  This
-module computes the lens, its perimeter profile over directions,
-inscribed affinely regular hexagons, Reuleaux triangles, and a
-derivative-free search for the disk maximizing the worst direction.
+chords, and is attained by two sides of a Reuleaux triangle.  Every such
+object is bounded by arcs of the boundary of M (or of a translate)
+between points at unit distance; one corner solver finds those points
+and one arc helper cuts the arcs.  This module builds the lens, its
+perimeter profile over directions, inscribed affinely regular hexagons,
+Reuleaux triangles, and a derivative-free search for the disk
+maximizing the worst direction.
 """
 
 from __future__ import annotations
@@ -18,11 +21,8 @@ import numpy as np
 
 from .errors import GeometryError
 from .involute import ConvexBody
-from .normplane import (UnitDisk, as_vec, gauge, gauge_many, unit_vector,
-                        unit_vectors, _circular_run, _cross, _wedge_of,
-                        locate_on_boundary)
-
-_ORIGIN = np.zeros(2)
+from .normplane import (UnitDisk, as_vec, gauge, gauge_many, unit_vectors,
+                        _cross, _wedge_of, locate_on_boundary)
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,13 @@ class DiskFamilyParams:
         return UnitDisk.polygon(np.concatenate([half, -half], axis=0))
 
 
+@dataclass(frozen=True)
 class MaxMinResult:
     """Best disk found by maxmin_search; iterates as (params, objective)."""
-
-    __slots__ = ("params", "objective", "evaluations", "disk")
-
-    def __init__(self, params, objective, evaluations, disk):
-        self.params = params
-        self.objective = objective
-        self.evaluations = evaluations
-        self.disk = disk
+    params: DiskFamilyParams
+    objective: float
+    evaluations: int
+    disk: UnitDisk
 
     def __iter__(self):
         yield self.params
@@ -90,138 +87,80 @@ class MaxMinResult:
             self.params.k, self.objective, self.evaluations)
 
 
-# -- convex intersection engine -------------------------------------------
+# -- boundary arcs and the corner solver ----------------------------------
 
-def _outward_normals(P: np.ndarray) -> np.ndarray:
-    E = np.roll(P, -1, axis=0) - P
-    return np.stack([E[:, 1], -E[:, 0]], axis=1)
+def _corners(disk: UnitDisk, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """For each row U on the boundary of M and each row W, the first
+    boundary point x CCW from U with gauge(x - W) = 1.
 
-
-def _cross_boundary(S, T, P, N, entering: bool):
-    """Point where segment S->T crosses the boundary of the CCW polygon P
-    (outward edge normals N).  entering=False: S inside, T outside;
-    entering=True: the reverse."""
-    d = T - S
-    a = np.einsum("ij,ij->i", N, S[None, :] - P)
-    b = N @ d
-    nb = np.hypot(N[:, 0], N[:, 1])
-    thr = 1e-13 * nb * max(math.hypot(d[0], d[1]), 1e-300)
+    Callers pass W = c U with 0 < c < 2, so gauge(U - W) < 1, while the
+    last vertex scanned, -V[j] with U on edge j, lies at gauge distance
+    1 + c from W.  gauge(. - W) is convex along each edge, so the first
+    scanned vertex at distance >= 1 brackets the first crossing, and the
+    crossing is cut exactly where the segment from the point before it
+    leaves W + M.
+    """
+    V = disk.vertices
+    n = len(V)
+    m = np.arange(len(U))
+    idx = (_wedge_of(disk, *U.T)[0][:, None] + 1 + np.arange(n // 2)) % n
+    G = gauge_many(disk, V[idx] - W[:, None, :])
+    k = np.argmax(G >= 1.0, axis=1)
+    prev = np.where((k == 0)[:, None], U, V[idx[m, np.maximum(k - 1, 0)]])
+    d = V[idx[m, k]] - prev
+    # leave M from prev - W along d: gauge(w) = max_j <w, grad_j>
+    den = d @ disk._grad.T
+    num = 1.0 - (prev - W) @ disk._grad.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = -a / b
-    if entering:
-        sel = b < -thr
-        if not sel.any():
-            return S.copy()
-        tt = float(np.clip(t[sel], 0.0, 1.0).max())
-    else:
-        sel = b > thr
-        if not sel.any():
-            return T.copy()
-        tt = float(np.clip(t[sel], 0.0, 1.0).min())
-    return S + tt * d
+        t = np.where(den > 0.0, num / den, np.inf).min(axis=1)
+    return prev + np.clip(t, 0.0, 1.0)[:, None] * d
 
 
-def _run_indices(mask: np.ndarray, depth: np.ndarray):
-    """Index array of the circular True-run containing the deepest point."""
-    if not mask.any():
-        raise GeometryError("intersection too thin to resolve")
-    m = int(np.argmax(np.where(mask, depth, -np.inf)))
-    i0, i1 = _circular_run(mask, m)
-    n = len(mask)
-    if i0 <= i1:
-        return np.arange(i0, i1 + 1)
-    return np.concatenate([np.arange(i0, n), np.arange(0, i1 + 1)])
+def _arc(disk: UnitDisk, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The CCW boundary arc of M from a to b (both on it, b less than a
+    full turn on): a, the vertices in between, b.  Vertices closer than
+    1e-12 * scale to a neighbour are dropped, so a and b stay exact."""
+    V = disk.vertices
+    n = len(V)
+    ja, jb = _wedge_of(disk, *np.array([a, b]).T)[0]
+    P = np.concatenate([a[None, :], V[(ja + 1 + np.arange((jb - ja) % n)) % n],
+                        b[None, :]])
+    far = np.hypot(*np.diff(P, axis=0).T) > 1e-12 * max(1.0, float(np.abs(V).max()))
+    keep = np.ones(len(P), dtype=bool)
+    keep[1:-1] = far[:-1] & far[1:]
+    return P[keep]
 
 
-def _clean_ring(P: np.ndarray, scale: float) -> np.ndarray:
-    """Drop duplicate points and grazing spikes until the ring is a clean
-    convex cycle."""
-    for _ in range(len(P) + 8):
-        n = len(P)
-        if n < 3:
-            raise GeometryError("degenerate intersection")
-        E = np.roll(P, -1, axis=0) - P
-        L = np.hypot(E[:, 0], E[:, 1])
-        dup = L <= 1e-11 * scale
-        if dup.any():
-            P = P[~dup]
-            continue
-        Ep = np.roll(E, 1, axis=0)
-        turn = _cross(Ep, E)
-        dot = np.einsum("ij,ij->i", Ep, E)
-        eps = 1e-11 * scale * scale
-        bad = (turn < -eps) | ((np.abs(turn) <= eps) & (dot < 0))
-        if not bad.any():
-            break
-        P = P[~bad]
-    return P
-
-
-def _assemble(PA, PB, maskA, depthA, maskB, depthB):
-    """Boundary ring of PA Intersect PB from the inside-runs of each
-    polygon plus the two boundary crossings.  Returns (ring, c_out, c_in);
-    crossings are None in the containment cases."""
-    scale = max(1.0, float(np.abs(PA).max()), float(np.abs(PB).max()))
-    if maskA.all():
-        return PA.copy(), None, None
-    if maskB.all():
-        return PB.copy(), None, None
-    ia = _run_indices(maskA, depthA)
-    ib = _run_indices(maskB, depthB)
-    nA = len(PA)
-    NB = _outward_normals(PB)
-    c_out = _cross_boundary(PA[ia[-1]], PA[(ia[-1] + 1) % nA], PB, NB,
-                            entering=False)
-    c_in = _cross_boundary(PA[(ia[0] - 1) % nA], PA[ia[0]], PB, NB,
-                           entering=True)
-    ring = np.concatenate([PA[ia], c_out[None, :], PB[ib], c_in[None, :]])
-    return _clean_ring(ring, scale), c_out, c_in
-
-
-def _fan_membership(P: np.ndarray, X: np.ndarray, tol: float):
-    """(inside mask, signed distance proxy) of points X w.r.t. convex CCW
-    polygon P, via an angular fan around the centroid."""
-    c = P.mean(axis=0)
-    rel = P - c
-    base = math.atan2(rel[0, 1], rel[0, 0])
-    a = np.mod(np.arctan2(rel[:, 1], rel[:, 0]) - base, 2.0 * math.pi)
-    a[0] = 0.0
-    qa = np.mod(np.arctan2(X[:, 1] - c[1], X[:, 0] - c[0]) - base,
-                2.0 * math.pi)
-    j = np.searchsorted(a, qa, side="right") - 1
-    np.clip(j, 0, len(P) - 1, out=j)
-    E = np.roll(P, -1, axis=0) - P
-    L = np.maximum(np.hypot(E[:, 0], E[:, 1]), 1e-300)
-    slack = _cross(E[j], X - P[j]) / L[j]
-    return slack >= -tol, slack
-
-
-def _lens_ring(disk: UnitDisk, p: np.ndarray, q: np.ndarray):
-    PA = disk.vertices + p
-    PB = disk.vertices + q
-    gA = gauge_many(disk, PA - q)
-    gB = gauge_many(disk, PB - p)
-    return _assemble(PA, PB, gA <= 1.0 + 1e-12, 1.0 - gA,
-                     gB <= 1.0 + 1e-12, 1.0 - gB)
+def _lens_corners(disk: UnitDisk, w: np.ndarray, d: float):
+    """(x_plus, x_minus) of the lens M Intersect (w + M), gauge(w) = d in
+    (0, 2): the lens is symmetric about w/2, and x_plus is the first
+    boundary point CCW from w/d at gauge distance 1 from w."""
+    x_plus = _corners(disk, (w / d)[None, :], w[None, :])[0]
+    return x_plus, w - x_plus
 
 
 def intersect_translates(disk: UnitDisk, p, q) -> ConvexBody:
     """Intersection of the translates p + M and q + M as a convex body.
 
-    Exact for polygonal disks: the result's vertices are vertices of the
-    translates plus the two true boundary crossing points.
+    Its boundary is the arc A of the boundary of p + M between the two
+    crossing points, then the reflected arc p + q - A of q + M; for
+    polygonal disks the vertices are translate vertices plus the two
+    exact crossings.
     """
     p = as_vec(p)
     q = as_vec(q)
-    d = gauge(disk, q - p)
+    w = q - p
+    d = gauge(disk, w)
     if d >= 2.0 - 1e-12:
         raise GeometryError(
             "translates at gauge distance %.17g do not overlap in a "
             "two-dimensional body" % d)
     if d <= 1e-14:
         return ConvexBody(disk.vertices + p, exact_polygon=disk.is_polygonal)
-    ring, _, _ = _lens_ring(disk, p, q)
-    return ConvexBody(ring, exact_polygon=disk.is_polygonal)
+    x_plus, x_minus = _lens_corners(disk, w, d)
+    A = _arc(disk, x_minus, x_plus)
+    ring = np.concatenate([A, (w - A)[1:-1]])
+    return ConvexBody(p + ring, exact_polygon=disk.is_polygonal)
 
 
 def lens_corners(disk: UnitDisk, p, q):
@@ -233,24 +172,8 @@ def lens_corners(disk: UnitDisk, p, q):
     d = gauge(disk, q - p)
     if d >= 2.0 - 1e-12 or d <= 1e-14:
         raise GeometryError("lens corners undefined at gauge distance %.17g" % d)
-    _, c_out, c_in = _lens_ring(disk, p, q)
-    if c_out is None or c_in is None:
-        raise GeometryError("translate boundaries do not cross")
-    s_out = float(_cross(q - p, c_out - p))
-    if s_out > 0:
-        return c_out, c_in
-    return c_in, c_out
-
-
-def _intersect_body_translate(disk: UnitDisk, body_ring: np.ndarray, q):
-    """body Intersect (q + M), both convex CCW."""
-    PB = disk.vertices + q
-    gA = gauge_many(disk, body_ring - q)
-    maskA = gA <= 1.0 + 1e-12
-    scale = max(1.0, float(np.abs(body_ring).max()))
-    maskB, slackB = _fan_membership(body_ring, PB, 1e-12 * scale)
-    ring, _, _ = _assemble(body_ring, PB, maskA, 1.0 - gA, maskB, slackB)
-    return ring
+    x_plus, x_minus = _lens_corners(disk, q - p, d)
+    return p + x_plus, p + x_minus
 
 
 # -- perimeter and the lens profile ---------------------------------------
@@ -265,14 +188,11 @@ def perimeter(disk: UnitDisk, body) -> float:
 
 
 def _lm_many(disk: UnitDisk, dirs: np.ndarray) -> np.ndarray:
-    """lm for each direction, from the boundary arc instead of the lens.
+    """lm for each direction, from the boundary arc.
 
     The lens M Intersect (q + M) is symmetric about q/2, so half its
     perimeter is the M-length of the CCW arc of the boundary of M from
-    x_minus = q - x_plus to x_plus, where x_plus is the first boundary point
-    CCW from q with gauge(x_plus - q) = 1.  gauge(. - q) does not decrease
-    along the boundary from q to -q, so x_plus is found by scanning the
-    vertices of that half and cutting the bracketing edge exactly.
+    x_minus = q - x_plus to x_plus, with x_plus = _corners(q, q).
     """
     V = disk.vertices
     E = disk._edge
@@ -281,24 +201,10 @@ def _lm_many(disk: UnitDisk, dirs: np.ndarray) -> np.ndarray:
     if len(dirs) > step:
         return np.concatenate([_lm_many(disk, dirs[i:i + step])
                                for i in range(0, len(dirs), step)])
-    h = n // 2
     W = gauge_many(disk, E)
     C = np.concatenate([[0.0], np.cumsum(W)])  # arc length up to vertex i
     q = unit_vectors(disk, dirs)
-    m = np.arange(len(q))
-    idx = (_wedge_of(disk, *q.T)[0][:, None] + 1 + np.arange(h)) % n
-    G = gauge_many(disk, V[idx] - q[:, None, :])
-    k = np.argmax(G >= 1.0, axis=1)
-    beyond = G[m, k] < 1.0  # the crossing lies on the edge holding -q
-    prev = np.where((k == 0)[:, None], q, V[idx[m, np.maximum(k - 1, 0)]])
-    nxt = np.where(beyond[:, None], -q, V[idx[m, k]])
-    d = nxt - prev
-    # leave M from prev - q along d: gauge(w) = max_j <w, grad_j>
-    den = d @ disk._grad.T
-    num = 1.0 - (prev - q) @ disk._grad.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(den > 0.0, num / den, np.inf).min(axis=1)
-    x_plus = prev + np.clip(t, 0.0, 1.0)[:, None] * d
+    x_plus = _corners(disk, q, q)
 
     def arc_pos(x):
         j = _wedge_of(disk, *x.T)[0]
@@ -338,61 +244,39 @@ def lm_sweep(disk: UnitDisk, n: int) -> LmProfile:
 def inscribed_hexagon(disk: UnitDisk, p) -> Hexagon:
     """Affinely regular hexagon inscribed in the disk with p as a vertex.
 
-    The second vertex q is the bisection root of gauge(b(s) - p) = 1 with
-    b running CCW from p to -p; the remaining vertices follow from the
-    symmetry (p, q, q-p, -p, -q, p-q).
+    The second vertex q is the first boundary point CCW from p at gauge
+    distance 1 from p; the remaining vertices follow from the symmetry
+    (p, q, q-p, -p, -q, p-q).  q_unique is False when gauge(. - p) stays 1
+    along a stretch of the boundary through q (parallel flat pieces).
     """
-    V = disk.vertices
-    n = len(V)
-    i, t, snapped, dist = locate_on_boundary(V, as_vec(p))
+    i, t, p, dist = locate_on_boundary(disk.vertices, as_vec(p))
     if dist > 1e-9 * max(disk.diameter, 1.0):
         raise GeometryError("inscribed_hexagon: p is not on the boundary "
                             "(distance %.3g)" % dist)
-    p = snapped
-    chain = [p] + [V[(i + 1 + k) % n] for k in range(n // 2)] + [-p]
-    chain = np.array(chain)
-    scale = max(1.0, float(np.abs(chain).max()))
-    keep = np.concatenate([[True],
-                           np.hypot(*(chain[1:] - chain[:-1]).T) > 1e-12 * scale])
-    chain = chain[keep]
-    seg = np.hypot(*(chain[1:] - chain[:-1]).T)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = float(cum[-1])
-
-    def at(s):
-        j = min(np.searchsorted(cum, s, side="right") - 1, len(seg) - 1)
-        j = max(j, 0)
-        f = (s - cum[j]) / seg[j]
-        return chain[j] + f * (chain[j + 1] - chain[j])
-
-    def phi(s):
-        return gauge(disk, at(s) - p) - 1.0
-
-    lo, hi = 0.0, total
-    if phi(hi) < 0:
-        raise GeometryError("inscribed_hexagon: no unit-distance point "
-                            "found on the half boundary")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    q = at(hi)
-    if abs(gauge(disk, q - p) - 1.0) > 1e-8:
-        raise GeometryError("inscribed_hexagon: bisection failed to "
-                            "converge on gauge 1")
-    unique = True
-    for delta in np.linspace(0.0, 0.02 * total, 9)[1:]:
-        for s in (hi + delta, hi - delta):
-            if 0.0 < s < total and abs(phi(s)) <= 1e-9:
-                unique = False
+    q = _corners(disk, p[None, :], p[None, :])[0]
+    # Unique when gauge(. - p) grows along the boundary through q: it rises
+    # into q in exact arithmetic, but rounding can put q inside a flat
+    # stretch, so both sides are tested, on the edges q arrives and leaves
+    # by (a vertex may fall in either wedge), by one-sided slopes over the
+    # active facets.
+    V = disk.vertices
+    n = len(V)
+    tiny = 1e-12 * max(1.0, float(np.abs(V).max()))
+    j = int(_wedge_of(disk, *q[:, None])[0][0])
+    if math.hypot(*(V[(j + 1) % n] - q)) <= tiny:
+        j = (j + 1) % n
+    e_out = disk._edge[j]
+    e_in = disk._edge[j - 1] if math.hypot(*(V[j] - q)) <= tiny else e_out
+    s = disk._grad @ (q - p)
+    act = disk._grad[s >= s.max() - 1e-12]
+    unique = ((act @ e_out).max() > 1e-12 * max(1.0, math.hypot(*e_out))
+              and (act @ e_in).min() > 1e-12 * max(1.0, math.hypot(*e_in)))
     verts = np.array([p, q, q - p, -p, -q, p - q])
     g = gauge_many(disk, verts)
     if np.abs(g - 1.0).max() > 1e-8:
         raise GeometryError("inscribed_hexagon: vertex off the boundary "
                             "by %.3g" % float(np.abs(g - 1.0).max()))
-    return Hexagon(vertices=verts, q_unique=unique)
+    return Hexagon(vertices=verts, q_unique=bool(unique))
 
 
 def _validate_hexagon(disk: UnitDisk, hexagon: Hexagon) -> np.ndarray:
@@ -413,13 +297,16 @@ def reuleaux(disk: UnitDisk, hexagon: Hexagon):
     """Reuleaux triangle M Intersect (p+M) Intersect (q+M) for the first
     two hexagon vertices, with its M-perimeter.
 
-    The perimeter must equal half the disk perimeter; a violation marks
+    Its corners 0, p, q are exact ring vertices, joined CCW by the arc of
+    the boundary of q + M from 0 to p, of M from p to q and of p + M from
+    q to 0.  These are three alternate arcs of the hexagon, so the
+    perimeter equals half the disk perimeter (Barbier); a violation marks
     an inconsistent hexagon or disk and raises.
     """
     verts = _validate_hexagon(disk, hexagon)
     p, q = verts[0], verts[1]
-    lens, _, _ = _lens_ring(disk, _ORIGIN, p)
-    ring = _intersect_body_translate(disk, lens, q)
+    ring = np.concatenate([(q + _arc(disk, -q, p - q))[:-1], _arc(disk, p, q),
+                           (p + _arc(disk, q - p, -p))[1:-1]])
     body = ConvexBody(ring, exact_polygon=disk.is_polygonal)
     per = perimeter(disk, body)
     full = perimeter(disk, disk.vertices)
@@ -435,21 +322,36 @@ def reuleaux_two_sides(body: ConvexBody, a, b) -> np.ndarray:
     through the third corner (the long way around), as an (n, 2) array.
 
     This is the extremal increasing-chord curve: its M-length equals the
-    half-lens-perimeter bound for the chord a -> b.
+    half-lens-perimeter bound for the chord a -> b.  The corners must lie
+    on the boundary ring; one inside a ring edge splits it.
     """
     V = body.vertices
-    a = as_vec(a)
-    b = as_vec(b)
-    ia = int(np.argmin(np.hypot(V[:, 0] - a[0], V[:, 1] - a[1])))
-    ib = int(np.argmin(np.hypot(V[:, 0] - b[0], V[:, 1] - b[1])))
-    if ia == ib:
-        raise GeometryError("reuleaux_two_sides: corners coincide")
     n = len(V)
-    if ib <= ia:
-        idx = np.arange(ib, ia + 1)
-    else:
-        idx = np.concatenate([np.arange(ib, n), np.arange(0, ia + 1)])
-    return V[idx][::-1].copy()
+    scale = max(1.0, float(np.abs(V).max()))
+
+    def place(x):
+        i, t, snapped, dist = locate_on_boundary(V, x)
+        if dist > 1e-9 * scale:
+            raise GeometryError("reuleaux_two_sides: corner (%.17g, %.17g) is "
+                                "off the boundary (distance %.3g)"
+                                % (x[0], x[1], dist))
+        if t == 1.0:
+            return (i + 1) % n, 0.0, V[(i + 1) % n]
+        return i, t, snapped
+
+    ia, ta, sa = place(as_vec(a))
+    ib, tb, sb = place(as_vec(b))
+    if math.hypot(*(sa - sb)) <= 1e-12 * scale:
+        raise GeometryError("reuleaux_two_sides: corners coincide")
+    # CCW from b to a, reversed; all the way round when a is behind b on
+    # one edge
+    k = (ia - ib) % n
+    if k == 0 and ta < tb:
+        k = n
+    chain = [sb[None, :], V[(ib + 1 + np.arange(k)) % n]]
+    if ta > 0.0:
+        chain.append(sa[None, :])
+    return np.concatenate(chain)[::-1].copy()
 
 
 # -- the bounding parallelogram certificate -------------------------------

@@ -418,36 +418,19 @@ def _circular_run(mask: np.ndarray, m: int):
 def is_birkhoff_orthogonal(disk: UnitDisk, v, u, tol: float = 1e-9) -> bool:
     """True when gauge(v + t*u) >= gauge(v) for all real t, up to tol.
 
-    Decided by golden-section minimization of the convex map
-    t -> gauge(v + t*u) over a bracket that provably contains the minimum.
+    t -> gauge(v + t*u) is convex and piecewise linear, so its minimum is
+    taken at a breakpoint, where v + t*u crosses the ray of a vertex V_i:
+    t_i = -(V_i x v) / (V_i x u).
     """
     v = as_vec(v)
     u = as_vec(u)
     gv = gauge(disk, v)
-    gu = gauge(disk, u)
-    if gv == 0.0 or gu == 0.0:
+    if gv == 0.0 or gauge(disk, u) == 0.0:
         raise ValueError("is_birkhoff_orthogonal: zero vector")
-    T = 4.0 * gv / gu
-
-    def f(t):
-        w = v + t * u
-        return float(gauge_many(disk, w[None, :])[0])
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = -T, T
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(90):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return min(fc, fd) >= gv - tol
+    cu = _cross(disk.vertices, u)
+    on = cu != 0.0
+    t = -_cross(disk.vertices[on], v) / cu[on]
+    return float(gauge_many(disk, v + t[:, None] * u).min()) >= gv - tol
 
 
 # -- boundary arc length --------------------------------------------------

@@ -1,16 +1,26 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import HalfspaceIntersection
 
-from mchords import UnitDisk, boundary_arclength, gauge
+from mchords import UnitDisk, boundary_arclength, gauge, unit_vector
 from mchords.chordbound import (Hexagon, bounding_parallelogram,
                                 inscribed_hexagon, intersect_translates,
                                 lens_corners, lm, lm_sweep, maxmin_search,
                                 perimeter, reuleaux, reuleaux_two_sides)
 from mchords.curvekit import Polyline, arclength, check_increasing_chords
 from mchords.errors import GeometryError
-from mchords.verify import convex_hull, random_disk
+from mchords.involute import ConvexBody
+from mchords.verify import (convex_hull, random_disk, random_polygon_disk,
+                            random_smooth_disk)
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_oracles", Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py")
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
@@ -113,6 +123,30 @@ def test_inscribed_hexagon_square():
     assert not h2.q_unique
 
 
+def test_hexagon_q_unique_in_flat_stretch():
+    # p + M and M share a flat stretch from the vertex V to q; the vertex
+    # rounds to gauge distance 0.9999999999999998 from p, so the corner
+    # solver stops inside the stretch, where gauge(. - p) still grows
+    # ahead of q but not behind it
+    half = np.array([(0.7142942302224826, 0.6998455205764134),
+                     (-0.9065087254856282, 0.4221870801178334)])
+    disk = UnitDisk.polygon(np.concatenate([half, -half]))
+    V = half[1]
+    p = 0.5 * (half[0] + V)
+    h = inscribed_hexagon(disk, p)
+    assert abs(gauge(disk, V - p) - 1.0) <= 1e-15
+    assert abs(gauge(disk, h.vertices[1] - p) - 1.0) <= 1e-15
+    assert not h.q_unique
+    # here q is the vertex where the stretch starts, and the wedge lookup
+    # puts that vertex in the wedge before it
+    half = np.array([(0.9045960747281319, 0.8501962740456461),
+                     (-0.20612563982350315, 1.1561589090774518)])
+    disk = UnitDisk.polygon(np.concatenate([half, -half]))
+    h = inscribed_hexagon(disk, 0.5 * (half[0] - half[1]))
+    assert np.array_equal(h.vertices[1], half[0])
+    assert not h.q_unique
+
+
 def test_inscribed_hexagon_rejects_interior_point():
     eu = UnitDisk.euclidean(1024)
     with pytest.raises(GeometryError):
@@ -206,6 +240,87 @@ def test_two_sides_curve_is_extremal():
     assert check_increasing_chords(eu, Polyline(chain)).holds
     with pytest.raises(GeometryError):
         reuleaux_two_sides(body, a, a)
+
+
+def test_two_sides_chain_at_any_anchor():
+    # corners inside an edge of the Reuleaux ring are ring points too: the
+    # square at anchor 0.45 and random polygons at uniform anchors
+    sq = UnitDisk.square()
+    h = inscribed_hexagon(sq, unit_vector(sq, 0.45))
+    a, b = h.vertices[0], h.vertices[1]
+    chain = reuleaux_two_sides(reuleaux(sq, h)[0], a, b)
+    t = math.tan(0.45)
+    assert np.allclose(chain, [(1, t), (1, 0), (0, 0), (0, 1)], atol=1e-12)
+    assert abs(lm(sq, math.atan2(*(b - a)[::-1])) - (2.0 + t)) <= 1e-12
+    rng = np.random.default_rng(31)
+    cases = [(random_polygon_disk(np.random.default_rng(0)), 0.0)]
+    cases += [(sq, th) for th in rng.uniform(0.0, 2.0 * math.pi, 10)]
+    cases += [(random_polygon_disk(rng), rng.uniform(0.0, 2.0 * math.pi))
+              for _ in range(30)]
+    for disk, th in cases:
+        h = inscribed_hexagon(disk, unit_vector(disk, th))
+        a, b = h.vertices[0], h.vertices[1]
+        chain = reuleaux_two_sides(reuleaux(disk, h)[0], a, b)
+        assert np.array_equal(chain[0], a) and np.array_equal(chain[-1], b)
+        bound = lm(disk, math.atan2(*(b - a)[::-1]))
+        assert abs(arclength(disk, Polyline(chain)) - bound) <= 1e-12
+        assert check_increasing_chords(disk, Polyline(chain), tol=1e-9).holds
+
+
+def test_two_sides_corners_on_one_edge_go_round():
+    ring = ConvexBody([(0, 0), (1, 0), (1, 1), (0, 1)])
+    chain = reuleaux_two_sides(ring, (0.25, 0.0), (0.75, 0.0))
+    assert np.array_equal(chain, [(0.25, 0), (0, 0), (0, 1), (1, 1), (1, 0),
+                                  (0.75, 0)])
+    # (1, 1) is reported as the end (t = 1) of the edge before (0.5, 1)'s
+    chain = reuleaux_two_sides(ring, (1.0, 1.0), (0.5, 1.0))
+    assert np.array_equal(chain, [(1, 1), (1, 0), (0, 0), (0, 1), (0.5, 1)])
+    chain = reuleaux_two_sides(ring, (0.75, 0.0), (0.25, 0.0))
+    assert np.array_equal(chain, [(0.75, 0), (0.25, 0)])
+    with pytest.raises(GeometryError):
+        reuleaux_two_sides(ring, (0.5, 0.5), (1.0, 1.0))
+    with pytest.raises(GeometryError):
+        reuleaux_two_sides(ring, (1.0, 1.0), (1.0, 1.0 + 1e-14))
+
+
+def _oracle_lens(V, p, q):
+    """Vertices of (p + M) Intersect (q + M) by half-space intersection."""
+    F = oracles.facet_functionals(V)
+    hs = np.concatenate([np.column_stack([F, -1.0 - F @ p]),
+                         np.column_stack([F, -1.0 - F @ q])])
+    X = HalfspaceIntersection(hs, 0.5 * (p + q)).intersections
+    c = X.mean(axis=0)
+    X = X[np.argsort(np.arctan2(X[:, 1] - c[1], X[:, 0] - c[0]))]
+    keep = np.hypot(*(X - np.roll(X, 1, axis=0)).T) > 1e-9
+    return X[keep]
+
+
+def test_lens_matches_halfspace_oracle():
+    rng = np.random.default_rng(41)
+    disks = [UnitDisk.square(), UnitDisk.regular_hexagon()]
+    disks += [random_polygon_disk(rng) for _ in range(6)]
+    disks += [random_smooth_disk(rng, 96) for _ in range(4)]
+    for disk in disks:
+        V = disk.vertices
+        g = oracles.polygon_gauge(V)
+        for d in (0.05, 0.3, 0.7, 1.3, 1.7, 1.95):
+            p = rng.normal(0.0, 1.0, 2)
+            q = p + d * oracles.unit_vector(g, rng.uniform(0.0, 2.0 * math.pi))
+            X = _oracle_lens(V, p, q)
+            body = intersect_translates(disk, p, q)
+            B = body.vertices
+            assert abs(perimeter(disk, body) - float(g(np.roll(X, -1, axis=0) - X).sum())) <= 1e-9
+            # every oracle vertex is a ring point, every ring point is on
+            # the boundary of the lens
+            assert np.hypot(*(X[:, None, :] - B[None, :, :]).T).min(axis=0).max() <= 1e-9
+            assert np.abs(np.maximum(g(B - p), g(B - q)) - 1.0).max() <= 1e-9
+            x_plus, x_minus = lens_corners(disk, p, q)
+            for x in (x_plus, x_minus):
+                assert abs(g(x - p) - 1.0) <= 1e-9 and abs(g(x - q) - 1.0) <= 1e-9
+                assert np.hypot(*(X - x).T).min() <= 1e-9
+            w = q - p
+            assert w[0] * (x_plus - p)[1] - w[1] * (x_plus - p)[0] > 0
+            assert np.allclose(x_plus + x_minus, p + q, atol=1e-12)
 
 
 def test_bounding_parallelogram_square():

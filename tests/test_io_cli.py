@@ -177,7 +177,7 @@ def test_reuleaux_command(capsys):
     assert main(["reuleaux", "--disk", "builtin:hexagon"]) == 0
     line = capsys.readouterr().out
     assert line == ('{"perimeter": 3, "corners": '
-                    '[[0, 0], [1, 0], [0.5, 0.86602540378443849]]}\n')
+                    '[[0, 0], [1, 0], [0.5, 0.8660254037844386]]}\n')
 
 
 def test_hexagon_command(capsys):
