@@ -89,28 +89,85 @@ class MaxMinResult:
 
 # -- boundary arcs and the corner solver ----------------------------------
 
+_SCAN = 1 << 16  # rows * vertices up to which _corners scans whole tables
+
+
 def _corners(disk: UnitDisk, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """For each row U on the boundary of M and each row W, the first
     boundary point x CCW from U with gauge(x - W) = 1.
 
-    Callers pass W = c U with 0 < c < 2, so gauge(U - W) < 1, while the
-    last vertex scanned, -V[j] with U on edge j, lies at gauge distance
-    1 + c from W.  gauge(. - W) is convex along each edge, so the first
-    scanned vertex at distance >= 1 brackets the first crossing, and the
-    crossing is cut exactly where the segment from the point before it
-    leaves W + M.
+    Callers pass W = c U with 0 < c < 2, so gauge(U - W) = |1 - c| < 1,
+    while the last candidate vertex, -V[j] with U on edge j, lies at
+    gauge distance 1 + c from W.  The corner lies on the segment from
+    prev to the first of V[j+1], ..., V[j+n/2] at distance >= 1 (prev is
+    the vertex before it, or U), where a = prev - W leaves M along
+    d = V - prev: at t* = min (1 - <a, g>) / <d, g> over the facet
+    functionals g with <d, g> > 0.  Every facet has <x, g> <= gauge(x),
+    so its ratio is >= t*, attained by the facet of the cone holding the
+    exit point.
+
+    Tables of up to _SCAN entries (rows * vertices) are scanned whole:
+    every candidate vertex, then every facet.  Larger ones search, in
+    O(log n) steps per row:
+
+    - the bracket.  By the monotonicity lemma of Minkowski geometry the
+      distance from U grows as a point moves along the boundary towards
+      -U, and with W = c U too gauge(V[j+1+i] - W) does not decrease in
+      i (the tests check both), so the first vertex at distance >= 1 is
+      found by bisection;
+    - the cut.  The segment a -> a + d crosses the vertex rays between
+      the cones of a and of a + d in order, turning the way of the sign
+      of a x d (negative when c > 1; a = 0 has the one cone of a + d).
+      A crossed vertex lies on the origin's side of the segment's line
+      exactly when the crossing comes after the exit, so a second
+      bisection finds the exit cone.  Its facet and its two neighbours
+      are cut: the neighbours cover a ray test that rounding turns the
+      wrong way when the exit is a vertex.
+
+    The two paths agree to rounding, except where a flat stretch of the
+    boundary lies at distance 1 from W: rounding then decides which of
+    its points is "first", and the paths may return different ones.
     """
     V = disk.vertices
     n = len(V)
-    m = np.arange(len(U))
-    idx = (_wedge_of(disk, *U.T)[0][:, None] + 1 + np.arange(n // 2)) % n
-    G = gauge_many(disk, V[idx] - W[:, None, :])
-    k = np.argmax(G >= 1.0, axis=1)
-    prev = np.where((k == 0)[:, None], U, V[idx[m, np.maximum(k - 1, 0)]])
-    d = V[idx[m, k]] - prev
-    # leave M from prev - W along d: gauge(w) = max_j <w, grad_j>
-    den = d @ disk._grad.T
-    num = 1.0 - (prev - W) @ disk._grad.T
+    j = _wedge_of(disk, *U.T)[0]
+    if len(U) * n <= _SCAN:
+        m = np.arange(len(U))
+        idx = (j[:, None] + 1 + np.arange(n // 2)) % n
+        G = gauge_many(disk, V[idx] - W[:, None, :])
+        k = np.argmax(G >= 1.0, axis=1)
+        prev = np.where((k == 0)[:, None], U, V[idx[m, np.maximum(k - 1, 0)]])
+        d = V[idx[m, k]] - prev
+        # leave M from prev - W along d: gauge(w) = max_j <w, grad_j>
+        den = d @ disk._grad.T
+        num = 1.0 - (prev - W) @ disk._grad.T
+    else:
+        lo = np.zeros_like(j)
+        hi = np.full_like(j, n // 2 - 1)
+        for _ in range((n // 2 - 1).bit_length()):
+            mid = (lo + hi) >> 1
+            far = gauge_many(disk, V[(j + 1 + mid) % n] - W) >= 1.0
+            hi = np.where(far, mid, hi)
+            lo = np.where(far, lo, np.minimum(mid + 1, hi))
+        prev = np.where((lo == 0)[:, None], U, V[(j + lo) % n])
+        d = V[(j + 1 + lo) % n] - prev
+        a = prev - W
+        jb = _wedge_of(disk, *(a + d).T)[0]
+        ja = np.where((a == 0.0).all(axis=1), jb, _wedge_of(disk, *a.T)[0])
+        s = np.where(_cross(a, d) < 0.0, -1, 1)
+        # rays crossed in order: vertex ja + 1 + i CCW, ja - i CW; the
+        # first on the origin's side (lo = L for none) ends the exit cone
+        L = s * (jb - ja) % n
+        lo = np.zeros_like(L)
+        hi = L
+        for _ in range(int(L.max()).bit_length()):
+            mid = (lo + hi) >> 1
+            past = s * _cross(d, V[(ja + s * mid + (s > 0)) % n] - a) > 0.0
+            hi = np.where(past, mid, hi)
+            lo = np.where(past, lo, np.minimum(mid + 1, hi))
+        g = disk._grad[((ja + s * lo)[:, None] + np.array([-1, 0, 1])) % n]
+        den = np.einsum("ij,ikj->ik", d, g)
+        num = 1.0 - np.einsum("ij,ikj->ik", a, g)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(den > 0.0, num / den, np.inf).min(axis=1)
     return prev + np.clip(t, 0.0, 1.0)[:, None] * d
@@ -196,11 +253,6 @@ def _lm_many(disk: UnitDisk, dirs: np.ndarray) -> np.ndarray:
     """
     V = disk.vertices
     E = disk._edge
-    n = len(V)
-    step = max(1, (1 << 20) // n)  # keeps the (directions, n) tables small
-    if len(dirs) > step:
-        return np.concatenate([_lm_many(disk, dirs[i:i + step])
-                               for i in range(0, len(dirs), step)])
     W = gauge_many(disk, E)
     C = np.concatenate([[0.0], np.cumsum(W)])  # arc length up to vertex i
     q = unit_vectors(disk, dirs)

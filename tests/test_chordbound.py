@@ -7,13 +7,15 @@ import pytest
 from scipy.spatial import HalfspaceIntersection
 
 from mchords import UnitDisk, boundary_arclength, gauge, unit_vector
-from mchords.chordbound import (Hexagon, bounding_parallelogram,
-                                inscribed_hexagon, intersect_translates,
-                                lens_corners, lm, lm_sweep, maxmin_search,
-                                perimeter, reuleaux, reuleaux_two_sides)
+from mchords.chordbound import (_SCAN, Hexagon, _arc, _corners,
+                                bounding_parallelogram, inscribed_hexagon,
+                                intersect_translates, lens_corners, lm,
+                                lm_sweep, maxmin_search, perimeter, reuleaux,
+                                reuleaux_two_sides)
 from mchords.curvekit import Polyline, arclength, check_increasing_chords
 from mchords.errors import GeometryError
 from mchords.involute import ConvexBody
+from mchords.normplane import _wedge_of, gauge_many, unit_vectors
 from mchords.verify import (convex_hull, random_disk, random_polygon_disk,
                             random_smooth_disk)
 
@@ -101,6 +103,96 @@ def test_lm_sweep_profiles():
     with pytest.raises(ValueError):
         lm_sweep(eu, 3)
 
+
+
+def _fine_and_flat_disks():
+    """Fine, flat-sided and random disks for the corner solver, from seeds."""
+    rng = np.random.default_rng(2024)
+    disks = [UnitDisk.euclidean(4096), UnitDisk.lp(4.0, 4096),
+             UnitDisk.lp(1.0, 64), UnitDisk.lp(30.0, 512),
+             UnitDisk.square(), UnitDisk.regular_hexagon()]
+    disks += [random_polygon_disk(rng) for _ in range(3)]
+    disks += [random_polygon_disk(rng, 2) for _ in range(8)]  # parallelograms
+    disks += [random_smooth_disk(rng, 2048) for _ in range(3)]
+    return disks
+
+
+def _boundary_rows(disk, rng, m):
+    """m seeded boundary points, then vertices and edge midpoints (every
+    one on a coarse disk, 64 of each on a fine one)."""
+    V = disk.vertices[::max(1, len(disk.vertices) // 64)]
+    return np.concatenate([unit_vectors(disk, rng.uniform(0.0, 2.0 * math.pi, m)),
+                           V, 0.5 * (V + np.roll(V, -1, axis=0))])
+
+
+def test_corner_search_matches_scan():
+    # a batch of more than _SCAN entries takes the two bisections; the
+    # same rows in blocks of at most _SCAN entries are scanned whole
+    rng = np.random.default_rng(5)
+    for disk in _fine_and_flat_disks():
+        n = len(disk.vertices)
+        rows = _SCAN // n
+        m = rows + 37
+        q = _boundary_rows(disk, rng, m)
+        scale = max(1.0, float(np.abs(disk.vertices).max()))
+        for c in (0.5, 1.0, 1.5):
+            W = c * q
+            X = _corners(disk, q, W)
+            Y = np.concatenate([_corners(disk, q[i:i + rows], W[i:i + rows])
+                                for i in range(0, len(q), rows)])
+            assert np.abs(gauge_many(disk, X) - 1.0).max() <= 1e-13
+            assert np.abs(gauge_many(disk, X - W) - 1.0).max() <= 1e-13
+            assert np.abs(X[:m] - Y[:m]).max() <= 1e-13 * scale
+            # at vertices and midpoints a flat stretch of the boundary can
+            # lie at distance 1 from W, where "first" is decided by
+            # rounding; there the two corners must share the stretch
+            for i in np.nonzero(np.abs(X - Y).max(axis=1) > 1e-13 * scale)[0]:
+                assert min(np.abs(gauge_many(disk, _arc(disk, x, y) - W[i]) - 1.0).max()
+                           for x, y in ((X[i], Y[i]), (Y[i], X[i]))) <= 1e-13
+        prof = lm_sweep(disk, rows + 1)
+        assert len(prof.directions) * n > _SCAN
+        picks = np.unique(np.concatenate([
+            [np.argmin(prof.values), np.argmax(prof.values)],
+            rng.integers(0, len(prof.directions), 64)]))
+        for i in picks:
+            assert abs(prof.values[i] - lm(disk, prof.directions[i])) <= 1e-13
+
+
+def test_corner_distance_grows_towards_antipode():
+    # the monotonicity lemma the bracketing bisection rests on: from
+    # W = c U, U on edge j, the vertices V[j+1], ..., V[j+n/2] = -V[j]
+    # are ever farther, up to a few ulps where a flat stretch keeps the
+    # gauge constant
+    rng = np.random.default_rng(13)
+    for disk in _fine_and_flat_disks():
+        V = disk.vertices
+        n = len(V)
+        q = _boundary_rows(disk, rng, 64)
+        j = _wedge_of(disk, *q.T)[0]
+        P = V[(j[:, None] + 1 + np.arange(n // 2)) % n]
+        for c in (1.0, *rng.uniform(0.0, 2.0, 3)):
+            G = gauge_many(disk, P - c * q[:, None, :])
+            assert np.diff(G, axis=1).min() >= -1e-14
+
+
+def test_lm_sweep_matches_lens_oracle():
+    # 360 directions: the fine disks sweep through the search, the
+    # polygons through the scan
+    rng = np.random.default_rng(31)
+    disks = [UnitDisk.euclidean(4096), UnitDisk.lp(4.0, 4096)]
+    disks += [random_smooth_disk(rng, 2048) for _ in range(2)]
+    disks += [random_polygon_disk(rng) for _ in range(3)]
+    large = set()
+    for disk in disks:
+        prof = lm_sweep(disk, 360)
+        dirs = prof.directions
+        large.add(len(dirs) * len(disk.vertices) > _SCAN)
+        picks = [int(np.argmin(prof.values)), int(np.argmax(prof.values))]
+        picks += [int(i) for i in rng.integers(0, len(dirs), 4)]
+        for i in picks:
+            ref = oracles.lens_lm(disk.vertices, dirs[i])
+            assert abs(prof.values[i] - ref) <= 1e-9
+    assert large == {False, True}
 
 def test_inscribed_hexagon_euclid():
     eu = UnitDisk.euclidean(4096)
