@@ -89,7 +89,7 @@ class MaxMinResult:
 
 # -- boundary arcs and the corner solver ----------------------------------
 
-_SCAN = 1 << 16  # rows * vertices up to which _corners scans whole tables
+_SCAN = 1 << 14  # rows * vertices up to which _corners scans whole tables
 
 
 def _corners(disk: UnitDisk, U: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -106,9 +106,12 @@ def _corners(disk: UnitDisk, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     so its ratio is >= t*, attained by the facet of the cone holding the
     exit point.
 
-    Tables of up to _SCAN entries (rows * vertices) are scanned whole:
-    every candidate vertex, then every facet.  Larger ones search, in
-    O(log n) steps per row:
+    Tables of up to _SCAN entries (rows * vertices), about where the two
+    paths cost the same, are scanned whole: every candidate vertex, then
+    every facet.  That takes the single-row calls and the sweeps of small
+    polygons.  Larger tables, such as fine disks' sweeps and the 2k-gon
+    sweeps of maxmin_search from k = 32 on (at 360 directions), search,
+    in O(log n) steps per row:
 
     - the bracket.  By the monotonicity lemma of Minkowski geometry the
       distance from U grows as a point moves along the boundary towards

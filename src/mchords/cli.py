@@ -7,6 +7,7 @@ emitted), 2 = usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -204,7 +205,10 @@ def _cmd_verify_all(args) -> int:
 
 # -- parser ---------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args returns a fresh
+    namespace on every call, and no action keeps state between calls."""
     ap = argparse.ArgumentParser(
         prog="mchords",
         description="Geometry of curves with increasing chords in normed "

@@ -361,34 +361,40 @@ def bisector_sample(disk: UnitDisk, a, b, y_range, n: int) -> BisectorSample:
     perp = np.array([-u[1], u[0]]) / math.hypot(*u)
     mid = 0.5 * (a + b)
     gu = gauge(disk, u)
-
-    def phi(base, s):
-        x = base + s * u
-        return gauge(disk, x - a) - gauge(disk, x - b)
-
-    pts = np.empty((n, 2))
     offsets = np.linspace(lo, hi, n)
-    for i, h in enumerate(offsets):
-        base = mid + h * perp
-        K = (gauge(disk, h * perp) + 2.0) / gu + 2.0
-        slo, shi = -K, K
-        for _ in range(60):
-            if phi(base, slo) < 0.0 <= phi(base, shi):
-                break
-            slo *= 2.0
-            shi *= 2.0
-        else:
-            raise GeometryError("bisector_sample: failed to bracket the root")
-        # bisection to 1e-10 in the line parameter
-        while shi - slo > 1e-10 / gu:
-            smid = 0.5 * (slo + shi)
-            if phi(base, smid) < 0.0:
-                slo = smid
-            else:
-                shi = smid
-        pts[i] = base + 0.5 * (slo + shi) * u
-    return BisectorSample(seg=(a, b), samples=Polyline(pts) if n > 1
-                          else Polyline(pts[[0]]))
+    base = mid + offsets[:, None] * perp
+
+    def phi(rows, s):
+        x = base[rows] + s[:, None] * u
+        return gauge_many(disk, x - a) - gauge_many(disk, x - b)
+
+    # all lines bracket and bisect in lockstep; only the open ones move
+    K = (gauge_many(disk, offsets[:, None] * perp) + 2.0) / gu + 2.0
+    slo, shi = -K, K
+    rows = np.arange(n)
+    for _ in range(60):
+        ok = (phi(rows, slo[rows]) < 0.0) & (0.0 <= phi(rows, shi[rows]))
+        rows = rows[~ok]
+        if not len(rows):
+            break
+        slo[rows] *= 2.0
+        shi[rows] *= 2.0
+    else:
+        raise GeometryError("bisector_sample: failed to bracket the root")
+    # bisection to 1e-10 in the line parameter
+    rows = np.flatnonzero(shi - slo > 1e-10 / gu)
+    while len(rows):
+        s0, s1 = slo[rows], shi[rows]
+        smid = 0.5 * (s0 + s1)
+        below = phi(rows, smid) < 0.0
+        slo[rows[below]] = smid[below]
+        shi[rows[~below]] = smid[~below]
+        # a midpoint that rounds onto an end of its bracket moves nothing
+        # (or closes it): far lines stop there, at the float spacing
+        moved = (s0 < smid) & (smid < s1)
+        rows = rows[moved & (shi[rows] - slo[rows] > 1e-10 / gu)]
+    pts = base + 0.5 * (slo + shi)[:, None] * u
+    return BisectorSample(seg=(a, b), samples=Polyline(pts))
 
 
 def is_x_monotone(curve: Polyline) -> bool:

@@ -7,7 +7,8 @@ from mchords import (GeometryError, Polyline, UnitDisk, UnsupportedDiskError,
                      arclength, bisector_sample, check_increasing_chords,
                      check_increasing_wrt_set, convexify, gauge, gauge_many,
                      is_x_monotone, unit_vector)
-from mchords.verify import builtin_disks, near_segment_curve, random_xmonotone
+from mchords.verify import (builtin_disks, near_segment_curve, random_smooth_disk,
+                            random_xmonotone)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -176,6 +177,71 @@ def test_bisector_rejects_polygonal():
         bisector_sample(UnitDisk.square(), (0, 0), (1, 0), (-1, 1), 3)
     with pytest.raises(ValueError):
         bisector_sample(UnitDisk.lp(4, 256), (1, 1), (1, 1), (-1, 1), 3)
+    with pytest.raises(ValueError):
+        bisector_sample(UnitDisk.lp(4, 256), (0, 0), (1, 0), (-1, 1), 0)
+
+
+def _bisector_line_by_line(disk, a, b, y_range, n):
+    # the scalar reference: one line at a time, bracket doubling and then
+    # bisection with one gauge call per point
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    u = b - a
+    perp = np.array([-u[1], u[0]]) / math.hypot(*u)
+    mid = 0.5 * (a + b)
+    gu = gauge(disk, u)
+
+    def phi(base, s):
+        x = base + s * u
+        return gauge(disk, x - a) - gauge(disk, x - b)
+
+    pts = np.empty((n, 2))
+    for i, h in enumerate(np.linspace(float(y_range[0]), float(y_range[1]), n)):
+        base = mid + h * perp
+        K = (gauge(disk, h * perp) + 2.0) / gu + 2.0
+        slo, shi = -K, K
+        for _ in range(60):
+            if phi(base, slo) < 0.0 <= phi(base, shi):
+                break
+            slo *= 2.0
+            shi *= 2.0
+        else:
+            raise GeometryError("failed to bracket the root")
+        while shi - slo > 1e-10 / gu:
+            smid = 0.5 * (slo + shi)
+            if phi(base, smid) < 0.0:
+                slo = smid
+            else:
+                shi = smid
+        pts[i] = base + 0.5 * (slo + shi) * u
+    return pts
+
+
+def test_bisector_matches_line_by_line_reference():
+    # all lines bisect in lockstep with the same arithmetic per line, so
+    # the points are bit-identical to the scalar reference
+    rng = np.random.default_rng(59)
+    disks = [UnitDisk.lp(3.3, 1024), UnitDisk.euclidean(4096),
+             random_smooth_disk(rng, 512)]
+    cases = [((0.0, 0.0), (1.0, 0.0), (-1.0, 1.0), (1, 2, 64)),
+             ((0.1, 0.2), (0.4, 1.1), (0.25, 0.75), (1, 2)),
+             ((-0.3, 0.5), (-0.31, 0.48), (-1000.0, 600.0), (1, 2, 17))]
+    for disk in disks:
+        for a, b, y_range, sizes in cases:
+            for n in sizes:
+                ref = _bisector_line_by_line(disk, a, b, y_range, n)
+                got = bisector_sample(disk, a, b, y_range, n).samples.points
+                assert np.array_equal(got, ref)
+
+
+def test_bisector_far_lines_stop_at_float_spacing():
+    # at offsets near 1e15 the bracket shrinks to the float spacing before
+    # 1e-10; each line stops there instead of bisecting forever
+    disk = random_smooth_disk(np.random.default_rng(7), 512)
+    a = np.array([0.1, 0.2])
+    b = a + np.array([math.cos(1.05), math.sin(1.05)])
+    P = bisector_sample(disk, a, b, (-1e15, 1e15), 5).samples.points
+    ga, gb = gauge_many(disk, P - a), gauge_many(disk, P - b)
+    assert np.all(np.abs(ga - gb) <= 1e-10 * np.maximum(1.0, ga))
 
 
 def test_is_x_monotone():

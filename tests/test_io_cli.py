@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mchords import io
-from mchords.cli import main
+from mchords.cli import _build_parser, main
 from mchords.errors import InvalidDiskError
 
 
@@ -261,3 +261,28 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["gauge", "--disk", str(bad), "--vec", "1,0"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cached_parser_is_reentrant(capsys):
+    # main builds its parser once per process; a usage error, then valid
+    # calls, then --help twice, must behave as on a freshly built parser
+    calls = [["lm", "--disk", "builtin:euclidean"],
+             ["lm", "--disk", "builtin:hexagon", "--dir", "0.3"],
+             ["gauge", "--disk", "builtin:lp:4", "--vec", "0.3,-1.5"],
+             ["bisector", "--disk", "builtin:lp:4", "--a", "0,0", "--b",
+              "1,0.5", "--range=-1,1", "-n", "5"]]
+
+    def session():
+        seen = []
+        for argv in calls:
+            code = main(argv)
+            seen.append((code, capsys.readouterr().out))
+        return seen
+
+    cached = session()
+    assert [code for code, _ in cached] == [2, 0, 0, 0]
+    _build_parser.cache_clear()
+    assert session() == cached
+    for _ in range(2):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: mchords")
