@@ -9,14 +9,14 @@ vertices of the d-cube.
 """
 
 from .errors import GeometryError, InvalidDiskError, UnsupportedDiskError
-from .normplane import (SupportLine, UnitDisk, boundary_arclength, gauge,
-                        gauge_many, is_birkhoff_orthogonal, support,
+from .normplane import (ConvexBody, SupportLine, UnitDisk, boundary_arclength,
+                        gauge, gauge_many, is_birkhoff_orthogonal, support,
                         unit_vector, unit_vectors, DEFAULT_RESOLUTION)
 from .curvekit import (BisectorSample, ChordReport, Polyline, Witness,
                        arclength, bisector_sample, check_increasing_chords,
                        check_increasing_wrt_set, convexify, is_x_monotone)
-from .involute import (ConvexBody, InvoluteCurve, InvoluteSupport,
-                       build_involute, involute_support_direction)
+from .involute import (InvoluteCurve, InvoluteSupport, build_involute,
+                       involute_support_direction)
 from .chordbound import (DiskFamilyParams, Hexagon, LmProfile, MaxMinResult,
                          bounding_parallelogram, inscribed_hexagon,
                          intersect_translates, lens_corners, lm, lm_sweep,

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GeometryError
-from .involute import ConvexBody
-from .normplane import (UnitDisk, as_vec, gauge, gauge_many, unit_vectors,
-                        _cross, _wedge_of, locate_on_boundary)
+from .normplane import (ConvexBody, UnitDisk, as_vec, gauge, gauge_many,
+                        unit_vectors, locate_on_boundary, _cross,
+                        _gauge_slopes, _vertices_of, _wedge_of)
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def lens_corners(disk: UnitDisk, p, q):
 
 def perimeter(disk: UnitDisk, body) -> float:
     """M-perimeter of a convex body: sum of edge-vector gauges."""
-    V = body.vertices if hasattr(body, "vertices") else np.asarray(body, float)
+    V = _vertices_of(body)
     if len(V) < 3:
         raise GeometryError("perimeter: need at least 3 boundary points")
     E = np.roll(V, -1, axis=0) - V
@@ -304,16 +304,13 @@ def inscribed_hexagon(disk: UnitDisk, p) -> Hexagon:
     (p, q, q-p, -p, -q, p-q).  q_unique is False when gauge(. - p) stays 1
     along a stretch of the boundary through q (parallel flat pieces).
     """
-    i, t, p, dist = locate_on_boundary(disk.vertices, as_vec(p))
-    if dist > 1e-9 * max(disk.diameter, 1.0):
-        raise GeometryError("inscribed_hexagon: p is not on the boundary "
-                            "(distance %.3g)" % dist)
+    p = locate_on_boundary(disk.vertices, p, "inscribed_hexagon: p")[2]
     q = _corners(disk, p[None, :], p[None, :])[0]
     # Unique when gauge(. - p) grows along the boundary through q: it rises
     # into q in exact arithmetic, but rounding can put q inside a flat
     # stretch, so both sides are tested, on the edges q arrives and leaves
-    # by (a vertex may fall in either wedge), by one-sided slopes over the
-    # active facets.
+    # by (a vertex may fall in either wedge), by the one-sided slopes of
+    # the chord kernel.
     V = disk.vertices
     n = len(V)
     tiny = 1e-12 * max(1.0, float(np.abs(V).max()))
@@ -322,10 +319,10 @@ def inscribed_hexagon(disk: UnitDisk, p) -> Hexagon:
         j = (j + 1) % n
     e_out = disk._edge[j]
     e_in = disk._edge[j - 1] if math.hypot(*(V[j] - q)) <= tiny else e_out
-    s = disk._grad @ (q - p)
-    act = disk._grad[s >= s.max() - 1e-12]
-    unique = ((act @ e_out).max() > 1e-12 * max(1.0, math.hypot(*e_out))
-              and (act @ e_in).min() > 1e-12 * max(1.0, math.hypot(*e_in)))
+    _, s_out, s_back = _gauge_slopes(disk)((q - p)[:, None], e_out[:, None],
+                                           -e_in[:, None])
+    unique = (s_out[0] > 1e-12 * max(1.0, math.hypot(*e_out))
+              and -s_back[0] > 1e-12 * max(1.0, math.hypot(*e_in)))
     verts = np.array([p, q, q - p, -p, -q, p - q])
     g = gauge_many(disk, verts)
     if np.abs(g - 1.0).max() > 1e-8:
@@ -382,21 +379,16 @@ def reuleaux_two_sides(body: ConvexBody, a, b) -> np.ndarray:
     """
     V = body.vertices
     n = len(V)
-    scale = max(1.0, float(np.abs(V).max()))
 
     def place(x):
-        i, t, snapped, dist = locate_on_boundary(V, x)
-        if dist > 1e-9 * scale:
-            raise GeometryError("reuleaux_two_sides: corner (%.17g, %.17g) is "
-                                "off the boundary (distance %.3g)"
-                                % (x[0], x[1], dist))
+        i, t, snapped = locate_on_boundary(V, x, "reuleaux_two_sides: corner")
         if t == 1.0:
             return (i + 1) % n, 0.0, V[(i + 1) % n]
         return i, t, snapped
 
-    ia, ta, sa = place(as_vec(a))
-    ib, tb, sb = place(as_vec(b))
-    if math.hypot(*(sa - sb)) <= 1e-12 * scale:
+    ia, ta, sa = place(a)
+    ib, tb, sb = place(b)
+    if math.hypot(*(sa - sb)) <= 1e-12 * max(1.0, float(np.abs(V).max())):
         raise GeometryError("reuleaux_two_sides: corners coincide")
     # CCW from b to a, reversed; all the way round when a is behind b on
     # one edge

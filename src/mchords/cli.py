@@ -21,8 +21,9 @@ from .curvekit import (Polyline, bisector_sample, check_increasing_chords,
 from .errors import GeometryError, InvalidDiskError, UnsupportedDiskError
 from .highdim import (chebyshev_arclength, check_increasing_chords_dd,
                       hypercube_curve)
-from .involute import ConvexBody, build_involute
-from .normplane import DEFAULT_RESOLUTION, TWO_PI, gauge, unit_vector
+from .involute import build_involute
+from .normplane import (DEFAULT_RESOLUTION, TWO_PI, ConvexBody, gauge,
+                        unit_vector)
 from .verify import run_battery
 
 _F = io._F

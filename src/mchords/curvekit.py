@@ -14,20 +14,17 @@ Chebyshev module reuses it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GeometryError, UnsupportedDiskError
-from .normplane import (UnitDisk, as_vec, gauge, gauge_many, TWO_PI,
-                        _cone_gauge, _wedge_of)
+from .normplane import UnitDisk, as_vec, gauge, gauge_many, _gauge_slopes
 
 _BLOCK_ELEMS = 1 << 16  # pairs per row block of the chord kernel, at most
 _BLOCK_ROWS = 32  # rows per block, at most: a block discards B^2 / 2 pairs h <= l
 _PAST_VERTEX = 1e-6  # witness notation: j + 1e-6 is a point just past vertex j
-_RAY_SCREEN = 2e-12  # angle from a cone's boundary ray that gets the ray test
 _MAX_WITNESSES = 16
 
 
@@ -217,41 +214,6 @@ def _run_two_sided(P: np.ndarray, pair_terms, tol: float):
     return deficit, wits[:_MAX_WITNESSES]
 
 
-def _disk_pair_terms(disk: UnitDisk):
-    """pair_terms of a planar disk, exact on its boundary polygon.
-
-    On the cone j of w, from _wedge_of, gauge(w) = <grad_j, w>, and the
-    right derivative along e is <grad_j, e>, or on a boundary ray of the
-    cone (|cross(V_j, w)| <= 1e-12 |V_j| |w|) the larger one of it and its
-    neighbour's.  The ray test runs only where an angle screen (angles
-    are good to 1e-14) asks.
-    """
-    V, ang = disk.vertices, disk._ang
-    m = len(V)
-    ang_next = np.append(ang[1:], ang[0] + TWO_PI)
-    # gradients padded so that cone j sits at j + 1 between its neighbours
-    gx, gy = np.concatenate([disk._grad[-1:], disk._grad, disk._grad[:1]]).T
-    vn = np.hypot(V[:, 0], V[:, 1])
-
-    def pair_terms(W, Ef, Er):
-        x, y = W[0], W[1]
-        j, r = _wedge_of(disk, x, y)
-        g = _cone_gauge(disk, j, x, y)
-        lo, hi = np.zeros((2,) + g.shape, dtype=bool)
-        at = np.nonzero((r - ang[j] < _RAY_SCREEN) | (ang_next[j] - r < _RAY_SCREEN))
-        if at[0].size:
-            xs, ys, js = x[at], y[at], j[at]
-            scale = 1e-12 * np.hypot(xs, ys)
-            jn = (js + 1) % m
-            lo[at] = np.abs(V[js, 0] * ys - V[js, 1] * xs) <= scale * vn[js]
-            hi[at] = np.abs(V[jn, 0] * ys - V[jn, 1] * xs) <= scale * vn[jn]
-        G = [(gx[i], gy[i]) for i in (j + 1, j + 1 - lo, j + 1 + hi)]
-        return (g,) + tuple(None if E is None else functools.reduce(
-            np.maximum, [a * E[0] + b * E[1] for a, b in G]) for E in (Ef, Er))
-
-    return pair_terms
-
-
 def _default_tol(disk: UnitDisk, tol):
     if tol is not None:
         return float(tol)
@@ -281,7 +243,7 @@ def check_increasing_chords(disk: UnitDisk, curve: Polyline,
     if len(curve) < 2:
         raise ValueError("check_increasing_chords: need at least 2 points")
     tol = _default_tol(disk, tol)
-    deficit, wits = _run_two_sided(curve.points, _disk_pair_terms(disk), tol)
+    deficit, wits = _run_two_sided(curve.points, _gauge_slopes(disk), tol)
     mode = "exact_polygonal" if disk.is_polygonal else "tolerance"
     return ChordReport(holds=deficit <= tol, max_deficit=deficit,
                        witnesses=wits if deficit > tol else [],
@@ -303,7 +265,7 @@ def check_increasing_wrt_set(disk: UnitDisk, curve: Polyline, anchors,
         raise ValueError("check_increasing_wrt_set: anchors must be a "
                          "non-empty (m, 2) array")
     tol = _default_tol(disk, tol)
-    pair_terms = _disk_pair_terms(disk)
+    pair_terms = _gauge_slopes(disk)
     P = curve.points
     n, m = len(P), len(A)
     # anchors are rows n.. of the point table, curve points its columns
@@ -358,6 +320,9 @@ def bisector_sample(disk: UnitDisk, a, b, y_range, n: int) -> BisectorSample:
     if n < 1:
         raise ValueError("bisector_sample: n must be >= 1")
     lo, hi = float(y_range[0]), float(y_range[1])
+    if n > 1 and lo == hi:
+        raise ValueError("bisector_sample: the offset range [%.17g, %.17g] is "
+                         "empty, so its %d samples would coincide" % (lo, hi, n))
     perp = np.array([-u[1], u[0]]) / math.hypot(*u)
     mid = 0.5 * (a + b)
     gu = gauge(disk, u)

@@ -19,63 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, InvalidDiskError
-from .normplane import (UnitDisk, as_vec, gauge, gauge_many, unit_vectors,
-                        locate_on_boundary, _cross, _wedge_of, TWO_PI)
+from .errors import GeometryError
+from .normplane import (ConvexBody, UnitDisk, gauge, gauge_many, unit_vectors,
+                        locate_on_boundary, _wedge_of, TWO_PI)
 from .curvekit import Polyline
-
-
-class ConvexBody:
-    """Convex disk given by its closed CCW boundary polygon.
-
-    exact_polygon distinguishes a true polygon from a dense sampling of a
-    smooth body; several operations branch on it (event handling, vertex
-    snapping rules).
-    """
-
-    __slots__ = ("boundary", "exact_polygon")
-
-    def __init__(self, points, exact_polygon: bool = False):
-        P = np.array(points, dtype=float)
-        if P.ndim != 2 or P.shape[1] != 2 or len(P) < 3:
-            raise ValueError("ConvexBody: need an (n, 2) array with n >= 3")
-        if not np.all(np.isfinite(P)):
-            raise ValueError("ConvexBody: non-finite coordinates")
-        scale = max(1.0, float(np.abs(P).max()))
-        E = np.roll(P, -1, axis=0) - P
-        if np.hypot(E[:, 0], E[:, 1]).min() <= 1e-12 * scale:
-            raise ValueError("ConvexBody: repeated consecutive boundary points")
-        turn = _cross(E, np.roll(E, -1, axis=0))
-        if turn.min() < -1e-9 * scale * scale:
-            bad = int(np.argmin(turn))
-            raise GeometryError("ConvexBody: right turn at boundary point %d; "
-                                "not convex CCW" % ((bad + 1) % len(P)))
-        area2 = float(_cross(P, np.roll(P, -1, axis=0)).sum())
-        if area2 <= 1e-12 * scale * scale:
-            raise GeometryError("ConvexBody: degenerate interior")
-        self.boundary = Polyline(P, closed=True)
-        self.exact_polygon = bool(exact_polygon)
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return self.boundary.points
-
-    @classmethod
-    def from_disk(cls, disk: UnitDisk, translate=None) -> "ConvexBody":
-        V = disk.vertices
-        if translate is not None:
-            V = V + as_vec(translate)
-        return cls(V, exact_polygon=disk.is_polygonal)
-
-    @property
-    def diameter(self) -> float:
-        V = self.vertices
-        c = V.mean(axis=0)
-        return 2.0 * float(np.hypot(V[:, 0] - c[0], V[:, 1] - c[1]).max())
-
-    def __repr__(self):
-        return "ConvexBody(n=%d, exact_polygon=%s)" % (len(self.vertices),
-                                                       self.exact_polygon)
 
 
 @dataclass(frozen=True)
@@ -138,11 +85,8 @@ class InvoluteCurve:
 
 def _snap_to_boundary(base: ConvexBody, p):
     W = base.vertices
-    i, t, snapped, dist = locate_on_boundary(W, as_vec(p))
+    i, t, snapped = locate_on_boundary(W, p, "build_involute: anchor")
     tol = 1e-9 * max(base.diameter, 1.0)
-    if dist > tol:
-        raise GeometryError("point (%.17g, %.17g) is not on the boundary "
-                            "(distance %.3g)" % (p[0], p[1], dist))
     m = len(W)
     nxt = (i + 1) % m
     if np.hypot(*(snapped - W[i])) <= tol:

@@ -18,23 +18,19 @@ _F = "%.17g"
 
 
 def load_disk(token: str, resolution: int = DEFAULT_RESOLUTION) -> UnitDisk:
-    """Disk from a CLI token: builtin:NAME, builtin:lp:P, or a JSON path."""
+    """Disk from a CLI token: builtin:NAME, builtin:lp:P, or a JSON path.
+
+    A builtin token is read as the spec {"kind": "builtin", "name": NAME}
+    (with "p": P for lp), so it names the same disk as that JSON."""
     if token.startswith("builtin:"):
-        parts = token.split(":")
-        name = parts[1] if len(parts) > 1 else ""
-        if name == "euclidean":
-            return UnitDisk.euclidean(resolution)
-        if name == "square":
-            return UnitDisk.square()
-        if name == "hexagon":
-            return UnitDisk.regular_hexagon()
-        if name == "lp":
-            if len(parts) != 3:
-                raise InvalidDiskError("builtin:lp needs an exponent, e.g. builtin:lp:4")
-            return UnitDisk.lp(float(parts[2]), resolution)
-        raise InvalidDiskError(
-            "unknown builtin disk %r (have: euclidean, square, hexagon, lp:P)"
-            % (name,))
+        name, *fields = token[len("builtin:"):].split(":")
+        spec = {"kind": "builtin", "name": name}
+        if name == "lp" and len(fields) == 1:
+            spec["p"] = float(fields[0])
+        elif fields:
+            raise InvalidDiskError("disk token %r: unexpected field %r after "
+                                   "builtin %r" % (token, fields[-1], name))
+        return UnitDisk.from_spec(spec, resolution)
     if not os.path.exists(token):
         raise InvalidDiskError("disk file not found: %s" % token)
     with open(token, "r", encoding="utf-8") as fh:

@@ -5,11 +5,13 @@ convex body.  Every representation accepted here (explicit polygon, radial
 samples, analytic builtins) is lowered to a dense counter-clockwise
 boundary polygon once, and all queries run against that polygon.  Exact
 polygons keep their vertices untouched, so gauge values for them are exact
-up to floating point.
+up to floating point.  The convex rings the constructions are cut from
+(`ConvexBody`) live here too, with the one rule for points on a boundary.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +21,7 @@ from .errors import InvalidDiskError, GeometryError
 
 DEFAULT_RESOLUTION = 4096
 TWO_PI = 2.0 * math.pi
+_RAY_SCREEN = 2e-12  # angle from a cone's boundary ray that gets the ray test
 
 # Type alias only; vectors are plain (2,) float arrays throughout.
 Vec2 = np.ndarray
@@ -253,11 +256,16 @@ class UnitDisk:
             name = obj.get("name")
             if name == "euclidean":
                 return cls.euclidean(resolution)
+            if name == "square":
+                return cls.square()
+            if name == "hexagon":
+                return cls.regular_hexagon()
             if name == "lp":
                 if "p" not in obj:
                     raise InvalidDiskError("disk spec: builtin lp needs 'p'")
                 return cls.lp(obj["p"], resolution)
-            raise InvalidDiskError("disk spec: unknown builtin %r" % (name,))
+            raise InvalidDiskError("disk spec: unknown builtin %r (have: "
+                                   "euclidean, square, hexagon, lp)" % (name,))
         raise InvalidDiskError("disk spec: unknown kind %r" % (kind,))
 
     # -- basic geometry ----------------------------------------------------
@@ -278,6 +286,65 @@ def _half_circle(n: int) -> np.ndarray:
         n += 1
     th = np.arange(n // 2) * (TWO_PI / n)
     return np.stack([np.cos(th), np.sin(th)], axis=1)
+
+
+def _extent(V: np.ndarray) -> float:
+    """The larger side of the bounding box of the points V: a size that
+    does not move with the points."""
+    return float(np.ptp(V, axis=0).max())
+
+
+class ConvexBody:
+    """Convex disk given by its CCW boundary polygon, closed implicitly.
+
+    exact_polygon distinguishes a true polygon from a dense sampling of a
+    smooth body; several operations branch on it (event handling, vertex
+    snapping rules).  The turn and area tests scale with the body's
+    extent, so a body validates wherever it sits; the repeated-point test
+    is one of float resolution and scales with the coordinates.
+    """
+
+    __slots__ = ("vertices", "exact_polygon")
+
+    def __init__(self, points, exact_polygon: bool = False):
+        P = np.array(points, dtype=float)
+        if P.ndim != 2 or P.shape[1] != 2 or len(P) < 3:
+            raise ValueError("ConvexBody: need an (n, 2) array with n >= 3")
+        if not np.all(np.isfinite(P)):
+            raise ValueError("ConvexBody: non-finite coordinates")
+        scale = max(1.0, float(np.abs(P).max()))
+        E = np.roll(P, -1, axis=0) - P
+        if np.hypot(E[:, 0], E[:, 1]).min() <= 1e-12 * scale:
+            raise ValueError("ConvexBody: repeated consecutive boundary points")
+        ext2 = _extent(P) ** 2
+        turn = _cross(E, np.roll(E, -1, axis=0))
+        if turn.min() < -1e-9 * ext2:
+            bad = int(np.argmin(turn))
+            raise GeometryError("ConvexBody: right turn at boundary point %d; "
+                                "not convex CCW" % ((bad + 1) % len(P)))
+        # twice the area, as a fan from the first vertex
+        if float(_cross(P[1:-1] - P[0], P[2:] - P[0]).sum()) <= 1e-12 * ext2:
+            raise GeometryError("ConvexBody: degenerate interior")
+        P.flags.writeable = False
+        self.vertices = P
+        self.exact_polygon = bool(exact_polygon)
+
+    @classmethod
+    def from_disk(cls, disk: UnitDisk, translate=None) -> "ConvexBody":
+        V = disk.vertices
+        if translate is not None:
+            V = V + as_vec(translate)
+        return cls(V, exact_polygon=disk.is_polygonal)
+
+    @property
+    def diameter(self) -> float:
+        V = self.vertices
+        c = V.mean(axis=0)
+        return 2.0 * float(np.hypot(V[:, 0] - c[0], V[:, 1] - c[1]).max())
+
+    def __repr__(self):
+        return "ConvexBody(n=%d, exact_polygon=%s)" % (len(self.vertices),
+                                                       self.exact_polygon)
 
 
 # -- gauge ----------------------------------------------------------------
@@ -336,15 +403,43 @@ def unit_vector(disk: UnitDisk, theta: float) -> Vec2:
     return unit_vectors(disk, float(theta))
 
 
-def gauge_gradients(disk: UnitDisk, W) -> np.ndarray:
-    """Gradient of the gauge at each point of W (rows).
+def _gauge_slopes(disk: UnitDisk):
+    """The gauge and its right derivatives, exact on the boundary polygon,
+    as a callback terms(W, Ef, Er) -> (gauge(W), slope along Ef, slope
+    along Er).  W is component first, (2, ...), the edges broadcast
+    against it, and None skips a slope.  The chord kernel calls it once
+    per row block, so what depends only on the disk is computed here.
 
-    The gauge is linear on each cone over a boundary edge; on cone
-    boundaries the gradient of the counter-clockwise-earlier cone is
-    reported.
+    On the cone j of w, from _wedge_of, gauge(w) = <grad_j, w>, and the
+    right derivative along e is <grad_j, e>, or on a boundary ray of the
+    cone (|cross(V_j, w)| <= 1e-12 |V_j| |w|) the larger one of it and its
+    neighbour's.  The ray test runs only where an angle screen (angles
+    are good to 1e-14) asks.
     """
-    W = np.asarray(W, dtype=float).reshape(-1, 2)
-    return disk._grad[_wedge_of(disk, *W.T)[0]]
+    V, ang = disk.vertices, disk._ang
+    m = len(V)
+    ang_next = np.append(ang[1:], ang[0] + TWO_PI)
+    # gradients padded so that cone j sits at j + 1 between its neighbours
+    gx, gy = np.concatenate([disk._grad[-1:], disk._grad, disk._grad[:1]]).T
+    vn = np.hypot(V[:, 0], V[:, 1])
+
+    def terms(W, Ef, Er):
+        x, y = W[0], W[1]
+        j, r = _wedge_of(disk, x, y)
+        g = _cone_gauge(disk, j, x, y)
+        lo, hi = np.zeros((2,) + g.shape, dtype=bool)
+        at = np.nonzero((r - ang[j] < _RAY_SCREEN) | (ang_next[j] - r < _RAY_SCREEN))
+        if at[0].size:
+            xs, ys, js = x[at], y[at], j[at]
+            scale = 1e-12 * np.hypot(xs, ys)
+            jn = (js + 1) % m
+            lo[at] = np.abs(V[js, 0] * ys - V[js, 1] * xs) <= scale * vn[js]
+            hi[at] = np.abs(V[jn, 0] * ys - V[jn, 1] * xs) <= scale * vn[jn]
+        G = [(gx[i], gy[i]) for i in (j + 1, j + 1 - lo, j + 1 + hi)]
+        return (g,) + tuple(None if E is None else functools.reduce(
+            np.maximum, [a * E[0] + b * E[1] for a, b in G]) for E in (Ef, Er))
+
+    return terms
 
 
 # -- support lines --------------------------------------------------------
@@ -435,10 +530,15 @@ def is_birkhoff_orthogonal(disk: UnitDisk, v, u, tol: float = 1e-9) -> bool:
 
 # -- boundary arc length --------------------------------------------------
 
-def locate_on_boundary(vertices: np.ndarray, x) -> tuple[int, float, np.ndarray, float]:
-    """Closest boundary point of a closed CCW polygon to x.
+def locate_on_boundary(vertices: np.ndarray, x,
+                       what: str) -> tuple[int, float, np.ndarray]:
+    """Closest boundary point of a closed CCW polygon to x, as (edge
+    index, parameter in [0, 1], snapped point).
 
-    Returns (edge index, parameter in [0,1], snapped point, distance).
+    x must be on the boundary: at a distance above 1e-9 * max(1, extent)
+    it raises GeometryError naming `what`.  Far from the origin the
+    distance is good only to a few units of the coordinates' last place,
+    so it is also allowed 1e-15 times their magnitude.
     """
     x = as_vec(x)
     A = vertices
@@ -450,30 +550,29 @@ def locate_on_boundary(vertices: np.ndarray, x) -> tuple[int, float, np.ndarray,
     proj = A + t[:, None] * ab
     d2 = np.einsum("ij,ij->i", proj - x[None, :], proj - x[None, :])
     i = int(np.argmin(d2))
-    return i, float(t[i]), proj[i], math.sqrt(float(d2[i]))
+    dist = math.sqrt(float(d2[i]))
+    if dist > max(1e-9 * max(1.0, _extent(A)), 1e-15 * float(np.abs(A).max())):
+        raise GeometryError("%s (%.17g, %.17g) is not on the boundary "
+                            "(distance %.3g)" % (what, x[0], x[1], dist))
+    return i, float(t[i]), proj[i]
 
 
 def boundary_arclength(disk: UnitDisk, body, p, q) -> float:
     """Length, in the norm of `disk`, of the CCW boundary arc of `body`
-    from p to q.  Both points must lie on the boundary (snapped within
-    1e-9 of the body's diameter).  Result is in [0, perimeter)."""
+    from p to q.  Both points must lie on the boundary (see
+    locate_on_boundary).  Result is in [0, perimeter)."""
     V = _vertices_of(body)
-    diam = float(np.abs(V).max()) * 2.0
     e = np.roll(V, -1, axis=0) - V
     eg = gauge_many(disk, e)
     cum = np.concatenate([[0.0], np.cumsum(eg)])
     perim = float(cum[-1])
 
     def pos(x):
-        i, t, snapped, dist = locate_on_boundary(V, x)
-        if dist > 1e-9 * max(diam, 1.0):
-            raise GeometryError(
-                "point (%.17g, %.17g) is not on the boundary (distance %.3g)"
-                % (x[0], x[1], dist))
+        i, t, snapped = locate_on_boundary(V, x, "boundary_arclength: point")
         return cum[i] + gauge(disk, snapped - V[i])
 
-    sp = pos(as_vec(p))
-    sq = pos(as_vec(q))
+    sp = pos(p)
+    sq = pos(q)
     d = sq - sp
     if abs(d) < 1e-12 * max(perim, 1.0):
         return 0.0

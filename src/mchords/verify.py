@@ -17,10 +17,11 @@ from .curvekit import (Polyline, arclength, check_increasing_chords,
                        convexify, is_x_monotone)
 from .highdim import (check_increasing_chords_dd, chebyshev_arclength,
                       hypercube_curve, PolylineD)
-from .involute import ConvexBody, build_involute
-from .normplane import (UnitDisk, boundary_arclength, gauge, gauge_many,
-                        is_birkhoff_orthogonal, support, unit_vector,
-                        unit_vectors, DEFAULT_RESOLUTION, _wedge_of)
+from .involute import build_involute
+from .normplane import (ConvexBody, UnitDisk, boundary_arclength, gauge,
+                        gauge_many, is_birkhoff_orthogonal, support,
+                        unit_vector, unit_vectors, DEFAULT_RESOLUTION,
+                        _wedge_of)
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
@@ -132,10 +133,6 @@ def near_segment_curve(rng, q: np.ndarray, n: int = 12,
 
 
 # -- the battery ----------------------------------------------------------
-
-def _tol_for(disk: UnitDisk) -> float:
-    return 1e-9 if disk.is_polygonal else 1e-6
-
 
 def _check_gauge_axioms(disks, rng):
     worst = 0.0

@@ -28,9 +28,8 @@ import mchords.curvekit as curvekit
 from mchords import (Polyline, UnitDisk, check_increasing_chords,
                      check_increasing_wrt_set, inscribed_hexagon,
                      reuleaux, reuleaux_two_sides, unit_vector)
-from mchords.curvekit import _disk_pair_terms
 from mchords.highdim import PolylineD, check_increasing_chords_dd, hypercube_curve
-from mchords.normplane import _cross, _wedge_of
+from mchords.normplane import _cross, _gauge_slopes, _wedge_of
 from mchords.verify import (near_segment_curve, random_polygon_disk,
                             random_smooth_disk)
 
@@ -234,8 +233,8 @@ def test_cone_lookup_and_ray_test_match_reference():
                             rng.normal(0.0, 1.0, (2000, 2))])
         E = rng.normal(0.0, 1.0, W.shape)
         g_ref, s_ref, j_ref = reference_terms(disk, W, E)
-        g, sf, sr = _disk_pair_terms(disk)(W.T[:, None, :], E.T[:, None, :],
-                                           E.T[:, None, :])
+        g, sf, sr = _gauge_slopes(disk)(W.T[:, None, :], E.T[:, None, :],
+                                        E.T[:, None, :])
         np.testing.assert_allclose(g[0], g_ref, rtol=1e-14, atol=0.0)
         np.testing.assert_array_equal(sf[0], s_ref)
         np.testing.assert_array_equal(sr[0], s_ref)

@@ -179,6 +179,8 @@ def test_bisector_rejects_polygonal():
         bisector_sample(UnitDisk.lp(4, 256), (1, 1), (1, 1), (-1, 1), 3)
     with pytest.raises(ValueError):
         bisector_sample(UnitDisk.lp(4, 256), (0, 0), (1, 0), (-1, 1), 0)
+    with pytest.raises(ValueError, match="offset range"):
+        bisector_sample(UnitDisk.lp(4, 256), (0, 0), (1, 0), (0.25, 0.25), 3)
 
 
 def _bisector_line_by_line(disk, a, b, y_range, n):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from mchords import io
+import mchords
+from mchords import UnitDisk, io
 from mchords.cli import _build_parser, main
 from mchords.errors import InvalidDiskError
 
@@ -56,6 +57,24 @@ def test_load_disk_tokens():
         io.load_disk("builtin:banana")
     with pytest.raises(InvalidDiskError):
         io.load_disk("/no/such/disk.json")
+    for extra in ("builtin:euclidean:7", "builtin:square:3", "builtin:hexagon:",
+                  "builtin:lp:4:2"):
+        with pytest.raises(InvalidDiskError):
+            io.load_disk(extra)
+
+
+def test_builtin_tokens_match_their_specs():
+    specs = {"builtin:euclidean": {"name": "euclidean"},
+             "builtin:square": {"name": "square"},
+             "builtin:hexagon": {"name": "hexagon"},
+             "builtin:lp:4": {"name": "lp", "p": 4},
+             "builtin:lp:1.5": {"name": "lp", "p": 1.5}}
+    for token, spec in specs.items():
+        for res in (256, 4096):
+            a = io.load_disk(token, res)
+            b = UnitDisk.from_spec({"kind": "builtin"} | spec, res)
+            assert a.kind == b.kind and a.is_polygonal == b.is_polygonal
+            assert a.vertices.tobytes() == b.vertices.tobytes()
 
 
 # -- single value commands ------------------------------------------------
@@ -213,6 +232,10 @@ def test_bisector_command(tmp_path, capsys):
                      out.read_text().strip().split("\n")[1:]], dtype=float)
     assert np.allclose(data[:, 0], 0.5, atol=1e-6)
     assert np.allclose(data[:, 1], [-1.0, 0.0, 1.0])
+    # an empty offset range cannot hold distinct samples
+    assert main(["bisector", "--disk", "builtin:euclidean", "--a", "0,0",
+                 "--b", "1,0", "--range=0.25,0.25", "-n", "3"]) == 2
+    assert "offset range [0.25, 0.25] is empty" in capsys.readouterr().err
 
 
 def test_maxmin_command_deterministic(tmp_path, capsys):
@@ -286,3 +309,29 @@ def test_cached_parser_is_reentrant(capsys):
     for _ in range(2):
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: mchords")
+
+
+# -- public API -----------------------------------------------------------
+
+def test_public_api_is_pinned():
+    # a removed or renamed public name is a listed change, never a
+    # side effect
+    assert sorted(mchords.__all__) == [
+        "BisectorSample", "ChordReport", "ConvexBody", "DEFAULT_RESOLUTION",
+        "DiskFamilyParams", "GeometryError", "Hexagon", "InvalidDiskError",
+        "InvoluteCurve", "InvoluteSupport", "LmProfile", "MaxMinResult",
+        "Polyline", "PolylineD", "SupportLine", "UnitDisk",
+        "UnsupportedDiskError", "Witness", "arclength", "bisector_sample",
+        "boundary_arclength", "bounding_parallelogram", "build_involute",
+        "chebyshev_arclength", "check_increasing_chords",
+        "check_increasing_chords_dd", "check_increasing_wrt_set",
+        "convexify", "gauge", "gauge_many", "hypercube_curve",
+        "inscribed_hexagon", "intersect_translates",
+        "involute_support_direction", "is_birkhoff_orthogonal",
+        "is_x_monotone", "lens_corners", "lm", "lm_sweep", "maxmin_search",
+        "perimeter", "reuleaux", "reuleaux_two_sides", "support",
+        "unit_vector", "unit_vectors"]
+    for name in mchords.__all__:
+        assert getattr(mchords, name) is not None
+    from mchords.involute import ConvexBody
+    assert ConvexBody is mchords.ConvexBody is mchords.normplane.ConvexBody

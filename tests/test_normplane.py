@@ -1,14 +1,18 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mchords import (UnitDisk, boundary_arclength, gauge, gauge_many,
-                     is_birkhoff_orthogonal, support, unit_vector,
-                     unit_vectors, InvalidDiskError, GeometryError)
+                     intersect_translates, is_birkhoff_orthogonal, perimeter,
+                     support, unit_vector, unit_vectors, InvalidDiskError,
+                     GeometryError)
 from mchords.involute import ConvexBody
-from mchords.verify import builtin_disks, random_disk
+from mchords.verify import (builtin_disks, random_disk, random_polygon_disk,
+                            random_smooth_disk)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -228,3 +232,59 @@ def test_convex_body_wrapper():
     assert np.allclose(body.vertices, sq.vertices)
     tri = ConvexBody([(0.0, 0.0), (2.0, 0.0), (1.0, 2.0)])
     assert len(tri.vertices) == 3
+
+
+@pytest.mark.parametrize("offset", [3e6, 1e8])
+def test_convex_body_validates_wherever_it_sits(offset):
+    # the turn and area tests scale with the body's extent: scaled with
+    # the coordinates instead, the area test called all of these
+    # translated rings degenerate
+    t = np.array([offset, -offset])
+    for disk in (UnitDisk.square(), UnitDisk.regular_hexagon(),
+                 UnitDisk.euclidean(1024)):
+        V = disk.vertices
+        body = ConvexBody.from_disk(disk, t)
+        assert np.array_equal(body.vertices, V + t)
+        # boundary points between the vertices too: at 1e8 they are off
+        # the ring by a last place of the coordinates
+        for a, b in zip(unit_vectors(disk, np.arange(8.0)), V[::len(V) // 4]):
+            arc = boundary_arclength(disk, body, a + t, b + t)
+            assert abs(arc - boundary_arclength(disk, V, a, b)) < 1e-6
+        q = 0.7 * V[1]
+        lens = intersect_translates(disk, t, t + q)
+        ref = intersect_translates(disk, (0.0, 0.0), q)
+        assert abs(perimeter(disk, lens) - perimeter(disk, ref)) < 1e-6
+
+
+def test_convex_body_refuses_a_translated_notch():
+    # a right turn of cross product -2 in a body of extent 2: a turn test
+    # scaled with the coordinates let it pass from about 1e5 on
+    P = np.array([[0, 0], [2, 0], [1, 0.1], [2, 2], [0, 2]], dtype=float)
+    for offset in (0.0, 1e5, 3e6, 1e8):
+        with pytest.raises(GeometryError, match="right turn"):
+            ConvexBody(P + offset)
+
+
+def test_gauge_matches_facet_max_oracle():
+    # perfbench/oracles.py's gauge is the max over the facet functionals;
+    # it does not import mchords and is loaded by path
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_oracles",
+        Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py")
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    rng = np.random.default_rng(277)
+    disks = list(builtin_disks(4096).values())
+    disks += [random_polygon_disk(rng) for _ in range(4)]
+    disks += [random_smooth_disk(rng, n) for n in (64, 512, 2048)]
+    for disk in disks:
+        V = disk.vertices
+        # random vectors at three magnitudes, vectors on the vertex rays,
+        # and the zero vector
+        W = np.concatenate([rng.normal(0.0, 1.0, (500, 2)) * s
+                            for s in (1e-8, 1.0, 1e8)]
+                           + [V * s for s in (1e-8, 0.5, 1.0, 3.0, 1e8)]
+                           + [np.zeros((1, 2))])
+        g, ref = gauge_many(disk, W), oracles.polygon_gauge(V)(W)
+        assert g[-1] == ref[-1] == 0.0
+        assert (np.abs(g[:-1] - ref[:-1]) / ref[:-1]).max() <= 1e-12
