@@ -27,7 +27,15 @@ from .normplane import (ConvexBody, UnitDisk, as_vec, gauge, gauge_many,
 
 @dataclass(frozen=True)
 class LmProfile:
-    """Half-lens-perimeter values over a set of chord directions."""
+    """Half-lens-perimeter values over a set of chord directions.
+
+    lm is concave along each edge of the boundary, so it is least at a
+    vertex direction.  On an exact polygon (is_polygonal) the sweep
+    holds every vertex direction and min is exact.  On a sampled disk
+    min is an upper bound on the least value over all directions.  max
+    is a lower bound on the largest value, which may lie between the
+    swept directions.
+    """
     directions: np.ndarray
     values: np.ndarray
     min: float
@@ -109,9 +117,8 @@ def _corners(disk: UnitDisk, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     Tables of up to _SCAN entries (rows * vertices), about where the two
     paths cost the same, are scanned whole: every candidate vertex, then
     every facet.  That takes the single-row calls and the sweeps of small
-    polygons.  Larger tables, such as fine disks' sweeps and the 2k-gon
-    sweeps of maxmin_search from k = 32 on (at 360 directions), search,
-    in O(log n) steps per row:
+    polygons.  Larger tables, such as fine disks' sweeps, search, in
+    O(log n) steps per row:
 
     - the bracket.  By the monotonicity lemma of Minkowski geometry the
       distance from U grows as a point moves along the boundary towards
@@ -247,8 +254,8 @@ def perimeter(disk: UnitDisk, body) -> float:
     return float(gauge_many(disk, E).sum())
 
 
-def _lm_many(disk: UnitDisk, dirs: np.ndarray) -> np.ndarray:
-    """lm for each direction, from the boundary arc.
+def _lm_at(disk: UnitDisk, q: np.ndarray) -> np.ndarray:
+    """lm for each row q on the boundary of M, from the boundary arc.
 
     The lens M Intersect (q + M) is symmetric about q/2, so half its
     perimeter is the M-length of the CCW arc of the boundary of M from
@@ -258,7 +265,6 @@ def _lm_many(disk: UnitDisk, dirs: np.ndarray) -> np.ndarray:
     E = disk._edge
     W = gauge_many(disk, E)
     C = np.concatenate([[0.0], np.cumsum(W)])  # arc length up to vertex i
-    q = unit_vectors(disk, dirs)
     x_plus = _corners(disk, q, q)
 
     def arc_pos(x):
@@ -267,6 +273,29 @@ def _lm_many(disk: UnitDisk, dirs: np.ndarray) -> np.ndarray:
         return C[j] + s * W[j]
 
     return np.mod(arc_pos(x_plus) - arc_pos(q - x_plus), C[-1])
+
+
+def _lm_many(disk: UnitDisk, dirs: np.ndarray) -> np.ndarray:
+    """lm for each direction."""
+    return _lm_at(disk, unit_vectors(disk, dirs))
+
+
+def _min_lm(disk: UnitDisk) -> float:
+    """The exact minimum of lm over all directions of a polygonal disk.
+
+    The lens perimeter is concave in q along every edge of the boundary
+    (the lens at a convex combination of q0 and q1 contains the same
+    combination of their lenses), so its minimum sits at a vertex.  lm(q)
+    = lm(-q), so half the vertices do: the ring must be stored exactly
+    symmetric, V[i + n/2] = -V[i], as the disks built from a half and its
+    negation are.  On a sampled disk this is the minimum over the samples,
+    which may lie below the smooth body's.
+    """
+    V = disk.vertices
+    h = len(V) // 2
+    if not np.array_equal(V[h:], -V[:h]):
+        raise GeometryError("_min_lm: the ring is not exactly symmetric")
+    return float(_lm_at(disk, V[:h]).min())
 
 
 def lm(disk: UnitDisk, direction: float) -> float:
@@ -480,9 +509,12 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
     disks, by Nelder-Mead restarts over log-radii with projection onto
     the convexity cone.
 
-    budget caps the objective evaluations spent inside the optimizer
-    (budget 0 evaluates only the starting disks).  Deterministic for a
-    fixed seed; the result is never worse than the regular-2k-gon start.
+    The objective is that minimum exactly, taken at the disk's k vertex
+    directions (_min_lm).  sweep_n is still checked (at least 4) but no
+    longer affects the objective or the result.  budget caps the
+    objective evaluations spent inside the optimizer (budget 0 evaluates
+    only the starting disks).  Deterministic for a fixed seed; the
+    result is never worse than the regular-2k-gon start.
     """
     if k < 3:
         raise ValueError("maxmin_search: need k >= 3")
@@ -496,7 +528,7 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
 
     def objective(x):
         disk, _ = _family_disk(np.asarray(x, dtype=float), k)
-        val = lm_sweep(disk, sweep_n).min
+        val = _min_lm(disk)
         state["evals"] += 1
         if val > state["best"]:
             state["best"] = val

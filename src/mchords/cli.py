@@ -281,7 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="objective evaluations allowed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-n", "--samples", type=int, default=360,
-                   help="directions per objective sweep")
+                   help="checked (at least 4) but unused: the objective is "
+                        "exact at the disk's vertex directions")
     p.add_argument("--out")
     p.add_argument("--svg")
 

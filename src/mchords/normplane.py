@@ -244,6 +244,14 @@ class UnitDisk:
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InvalidDiskError("disk spec: expected an object with a 'kind' field")
         kind = obj["kind"]
+        fields = {"polygon": ("vertices",), "radial": ("angles_deg", "radii"),
+                  "builtin": ("name", "p") if obj.get("name") == "lp" else ("name",)}
+        if not isinstance(kind, str) or kind not in fields:
+            raise InvalidDiskError("disk spec: unknown kind %r" % (kind,))
+        what = "builtin %r" % (obj.get("name"),) if kind == "builtin" else kind
+        for key in obj:
+            if key != "kind" and key not in fields[kind]:
+                raise InvalidDiskError("disk spec: %s takes no field %r" % (what, key))
         if kind == "polygon":
             if "vertices" not in obj:
                 raise InvalidDiskError("disk spec: polygon needs 'vertices'")
@@ -252,21 +260,19 @@ class UnitDisk:
             if "angles_deg" not in obj or "radii" not in obj:
                 raise InvalidDiskError("disk spec: radial needs 'angles_deg' and 'radii'")
             return cls.radial(obj["angles_deg"], obj["radii"], degrees=True)
-        if kind == "builtin":
-            name = obj.get("name")
-            if name == "euclidean":
-                return cls.euclidean(resolution)
-            if name == "square":
-                return cls.square()
-            if name == "hexagon":
-                return cls.regular_hexagon()
-            if name == "lp":
-                if "p" not in obj:
-                    raise InvalidDiskError("disk spec: builtin lp needs 'p'")
-                return cls.lp(obj["p"], resolution)
-            raise InvalidDiskError("disk spec: unknown builtin %r (have: "
-                                   "euclidean, square, hexagon, lp)" % (name,))
-        raise InvalidDiskError("disk spec: unknown kind %r" % (kind,))
+        name = obj.get("name")
+        if name == "euclidean":
+            return cls.euclidean(resolution)
+        if name == "square":
+            return cls.square()
+        if name == "hexagon":
+            return cls.regular_hexagon()
+        if name == "lp":
+            if "p" not in obj:
+                raise InvalidDiskError("disk spec: builtin lp needs 'p'")
+            return cls.lp(obj["p"], resolution)
+        raise InvalidDiskError("disk spec: unknown builtin %r (have: "
+                               "euclidean, square, hexagon, lp)" % (name,))
 
     # -- basic geometry ----------------------------------------------------
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .chordbound import (bounding_parallelogram, inscribed_hexagon, lm,
-                         lm_sweep, perimeter, reuleaux, reuleaux_two_sides)
+                         perimeter, reuleaux, reuleaux_two_sides)
 from .curvekit import (Polyline, arclength, check_increasing_chords,
                        convexify, is_x_monotone)
 from .highdim import (check_increasing_chords_dd, chebyshev_arclength,

@@ -3,7 +3,7 @@
 perfbench/oracles.py computes the increasing-chord property straight from
 its definition (all quadruples a <= b <= c <= d of the vertices and of
 edge subsamples) with a facet-max polygon gauge; it does not import
-mchords and is loaded here by path.  The checker is compared with it on
+mchords and is loaded by path in conftest.py.  The checker is compared with it on
 small seeded curves over exact polygons, sampled smooth disks and the
 Chebyshev norm of highdim, both holding and violating:
 
@@ -16,9 +16,7 @@ The cone lookup and ray test of the fused kernel are also compared with
 the plain searchsorted lookup of the gauge and its one-sided derivative.
 """
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,10 +31,7 @@ from mchords.normplane import _cross, _gauge_slopes, _wedge_of
 from mchords.verify import (near_segment_curve, random_polygon_disk,
                             random_smooth_disk)
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_oracles", Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py")
-oracles = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(oracles)
+import oracles
 
 
 def cheb_gauge(W):

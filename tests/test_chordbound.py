@@ -1,17 +1,15 @@
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.spatial import HalfspaceIntersection
 
 from mchords import UnitDisk, boundary_arclength, gauge, unit_vector
-from mchords.chordbound import (_SCAN, Hexagon, _arc, _corners,
-                                bounding_parallelogram, inscribed_hexagon,
-                                intersect_translates, lens_corners, lm,
-                                lm_sweep, maxmin_search, perimeter, reuleaux,
-                                reuleaux_two_sides)
+from mchords.chordbound import (_SCAN, Hexagon, _arc, _corners, _family_disk,
+                                _lm_at, _min_lm, bounding_parallelogram,
+                                inscribed_hexagon, intersect_translates,
+                                lens_corners, lm, lm_sweep, maxmin_search,
+                                perimeter, reuleaux, reuleaux_two_sides)
 from mchords.curvekit import Polyline, arclength, check_increasing_chords
 from mchords.errors import GeometryError
 from mchords.involute import ConvexBody
@@ -19,10 +17,7 @@ from mchords.normplane import _wedge_of, gauge_many, unit_vectors
 from mchords.verify import (convex_hull, random_disk, random_polygon_disk,
                             random_smooth_disk)
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_oracles", Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py")
-oracles = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(oracles)
+import oracles
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 SQRT3 = math.sqrt(3.0)
@@ -499,3 +494,57 @@ def test_maxmin_rejects_bad_args():
         maxmin_search(8, -1)
     with pytest.raises(ValueError):
         maxmin_search(8, 1, sweep_n=3)
+
+
+def _polygons_and_family_disks():
+    """Random polygons, parallelograms and seeded 2k-gons of the search
+    family (near-regular and rough), k from 3 to 64."""
+    rng = np.random.default_rng(41)
+    disks = [random_polygon_disk(rng) for _ in range(12)]
+    disks += [random_polygon_disk(rng, 2) for _ in range(2)]
+    disks += [_family_disk(rng.normal(0.0, s, k), k)[0]
+              for k in (3, 4, 5, 8, 12, 16, 24, 32, 48, 64) for s in (0.04, 0.3)]
+    return disks
+
+
+def test_min_lm_is_the_minimum_over_every_edge():
+    # lm is concave along each edge, so no point of an edge lies below
+    # the smaller of its ends; "never above" allows 16 ulps, because a
+    # vertex in the dense batch may take the other corner path
+    t = np.arange(64) / 64.0
+    for disk in _polygons_and_family_disks():
+        V = disk.vertices
+        Q = (V[:, None, :] + t[None, :, None] * disk._edge[:, None, :]).reshape(-1, 2)
+        dense = _lm_at(disk, Q).min()
+        m = _min_lm(disk)
+        assert abs(m - dense) <= 1e-12
+        assert m <= dense * (1.0 + 16 * np.finfo(float).eps)
+        vals = _lm_at(disk, V[:len(V) // 2])
+        i = int(np.argmin(vals))
+        assert vals[i] == m
+        assert abs(m - oracles.lens_lm(V, math.atan2(V[i, 1], V[i, 0]))) <= 1e-9
+
+
+def test_lm_is_concave_along_every_edge():
+    rng = np.random.default_rng(43)
+    for disk in _polygons_and_family_disks():
+        V, E = disk.vertices, disk._edge
+        a, b = rng.random((2, len(V), 16, 1))
+        q0 = V[:, None, :] + a * E[:, None, :]
+        q1 = V[:, None, :] + b * E[:, None, :]
+        l0, l1, mid = (_lm_at(disk, q.reshape(-1, 2)) for q in (q0, q1, 0.5 * (q0 + q1)))
+        assert (0.5 * (l0 + l1) - mid).max() <= 1e-14
+
+
+def test_min_lm_needs_an_exactly_symmetric_ring():
+    V = np.array([[1.0, 0.0], [0.3, 0.9], [-0.8, 0.7]])
+    ring = np.concatenate([V, -V])
+    ring[4, 1] += 1e-14  # accepted by the disk's 1e-12 symmetry check
+    with pytest.raises(GeometryError, match="symmetric"):
+        _min_lm(UnitDisk.polygon(ring))
+
+
+def test_maxmin_objective_is_the_sweep_minimum():
+    for k, budget, seed in ((8, 30, 1), (16, 10, 0), (32, 20, 2)):
+        res = maxmin_search(k, budget, seed=seed)
+        assert abs(res.objective - lm_sweep(res.disk, 360).min) <= 1e-13

@@ -1,7 +1,5 @@
-import importlib.util
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +11,8 @@ from mchords import (UnitDisk, boundary_arclength, gauge, gauge_many,
 from mchords.involute import ConvexBody
 from mchords.verify import (builtin_disks, random_disk, random_polygon_disk,
                             random_smooth_disk)
+
+import oracles
 
 SQRT3 = math.sqrt(3.0)
 
@@ -206,6 +206,25 @@ def test_from_spec_round_trip():
         UnitDisk.from_spec(json.loads("[1, 2]"))
 
 
+def test_from_spec_refuses_unknown_fields():
+    square = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
+    ring = {"angles_deg": [0, 90, 180, 270], "radii": [1, 1, 1, 1]}
+    bad = [({"kind": "builtin", "name": "euclidean", "p": 3}, "'p'"),
+           ({"kind": "builtin", "name": "square", "p": 3}, "'p'"),
+           ({"kind": "builtin", "name": "lp", "p": 3, "n": 64}, "'n'"),
+           ({"kind": "polygon", "vertices": square, "p": 7}, "'p'"),
+           ({"kind": "polygon", "vertices": square, "name": "square"}, "'name'"),
+           ({"kind": "radial", **ring, "vertices": square}, "'vertices'"),
+           ({"kind": ["polygon"], "vertices": square}, "unknown kind")]
+    for spec, field in bad:
+        with pytest.raises(InvalidDiskError, match=field):
+            UnitDisk.from_spec(spec, 64)
+    # the allowed fields still build the disk
+    assert len(UnitDisk.from_spec({"kind": "builtin", "name": "lp", "p": 3}, 64).vertices) == 64
+    assert len(UnitDisk.from_spec({"kind": "radial", **ring}).vertices) == 4
+    assert len(UnitDisk.from_spec({"kind": "polygon", "vertices": square}).vertices) == 4
+
+
 def test_from_boundary_samples_symmetry():
     th = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     pts = np.stack([np.cos(th) * 1.3, np.sin(th)], axis=1)
@@ -266,13 +285,7 @@ def test_convex_body_refuses_a_translated_notch():
 
 
 def test_gauge_matches_facet_max_oracle():
-    # perfbench/oracles.py's gauge is the max over the facet functionals;
-    # it does not import mchords and is loaded by path
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_oracles",
-        Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py")
-    oracles = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(oracles)
+    # the oracle's gauge is the max over the facet functionals
     rng = np.random.default_rng(277)
     disks = list(builtin_disks(4096).values())
     disks += [random_polygon_disk(rng) for _ in range(4)]
