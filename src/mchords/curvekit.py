@@ -126,11 +126,13 @@ def _pair_terms(PT, ET, gET, pair_terms, l0, l1, h0, h1, reverse=True):
     W = PT[:, None, h0:h1] - PT[:, l0:l1, None]
     g, sf, sr = pair_terms(W, ET[:, None, h0 + 1:h1 + 1],
                            ET[:, l0:l1, None] if reverse else None)
-    at = np.nonzero(g == 0.0)
-    at = tuple(i[(PT[:, at[1] + h0] == PT[:, at[0] + l0]).all(axis=0)] for i in at)
-    sf[at] = gET[at[1] + h0 + 1]
-    if reverse:
-        sr[at] = gET[at[0] + l0]
+    zero = g == 0.0
+    if zero.any():  # rare, and np.nonzero of a 2-d mask is slow
+        at = np.nonzero(zero)
+        at = tuple(i[(PT[:, at[1] + h0] == PT[:, at[0] + l0]).all(axis=0)] for i in at)
+        sf[at] = gET[at[1] + h0 + 1]
+        if reverse:
+            sr[at] = gET[at[0] + l0]
     return g, sf, sr
 
 

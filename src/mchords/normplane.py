@@ -11,7 +11,6 @@ up to floating point.  The convex rings the constructions are cut from
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -103,7 +102,8 @@ class UnitDisk:
     """
 
     __slots__ = ("vertices", "kind", "is_polygonal", "is_strictly_convex",
-                 "is_smooth", "lp_exponent", "_ang", "_edge", "_edge_c", "_grad")
+                 "is_smooth", "lp_exponent", "_ang", "_edge", "_edge_c", "_grad",
+                 "_slopes")
 
     def __init__(self, vertices, *, kind: str, is_polygonal: bool,
                  is_strictly_convex: bool, is_smooth: bool,
@@ -132,6 +132,7 @@ class UnitDisk:
         self._edge_c = c
         # gradient of the gauge on the cone over edge j: gauge(w) = dot(w, grad_j)
         self._grad = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / c[:, None]
+        self._slopes = None  # _gauge_slopes' callback, built on first use
 
     # -- constructors ------------------------------------------------------
 
@@ -369,19 +370,24 @@ def gauge_many(disk: UnitDisk, V) -> np.ndarray:
     return g.reshape(V.shape[:-1])
 
 
-def _wedge_of(disk: UnitDisk, x: np.ndarray, y: np.ndarray):
-    """Cone j of each direction (x, y), the wedge over boundary edge j
-    holding it, and its polar angle r wrapped to [a0, a0 + 2 pi), a0 =
-    _ang[0], so that _ang[j] <= r < _ang[j + 1].
-
-    x and y are component arrays of one shape.  The wrap is np.mod's,
-    done by compare and add, since arctan2 - a0 lies in [-pi, 2 pi].
-    """
-    a0 = disk._ang[0]
+def _wrapped_angle(a0: float, x: np.ndarray, y: np.ndarray):
+    """Polar angle r of each direction (x, y), wrapped to [a0, a0 + 2 pi]
+    with a0 = _ang[0] of a disk.  The wrap is np.mod's, done by compare and
+    add, since arctan2 - a0 lies in [-pi, 2 pi]; rounding can put r at
+    a0 + 2 pi itself."""
     r = np.arctan2(y, x) - a0
     r[r >= TWO_PI] = 0.0
     r += (r < 0.0) * TWO_PI
     r += a0
+    return r
+
+
+def _wedge_of(disk: UnitDisk, x: np.ndarray, y: np.ndarray):
+    """Cone j of each direction (x, y), the wedge over boundary edge j
+    holding it, and its polar angle r from _wrapped_angle, so that
+    _ang[j] <= r < _ang[j + 1].  x and y are component arrays of one
+    shape."""
+    r = _wrapped_angle(disk._ang[0], x, y)
     j = np.searchsorted(disk._ang, r, side="right") - 1
     np.minimum(j, len(disk._ang) - 1, out=j)
     return j, r
@@ -409,43 +415,101 @@ def unit_vector(disk: UnitDisk, theta: float) -> Vec2:
     return unit_vectors(disk, float(theta))
 
 
-def _gauge_slopes(disk: UnitDisk):
+def _gauge_slopes(disk: UnitDisk) -> "_Slopes":
     """The gauge and its right derivatives, exact on the boundary polygon,
     as a callback terms(W, Ef, Er) -> (gauge(W), slope along Ef, slope
-    along Er).  W is component first, (2, ...), the edges broadcast
-    against it, and None skips a slope.  The chord kernel calls it once
-    per row block, so what depends only on the disk is computed here.
+    along Er).  W is component first, (2, ...), the edges have its axes
+    and broadcast against it, and None skips a slope.  The callback holds
+    the disk's tables (edge, gradient and vertex columns, the bucket
+    table); it is built on the disk's first call and kept on the disk, so
+    later calls cost nothing to set up.
 
-    On the cone j of w, from _wedge_of, gauge(w) = <grad_j, w>, and the
-    right derivative along e is <grad_j, e>, or on a boundary ray of the
-    cone (|cross(V_j, w)| <= 1e-12 |V_j| |w|) the larger one of it and its
-    neighbour's.  The ray test runs only where an angle screen (angles
-    are good to 1e-14) asks.
+    The cone j of w is _wedge_of's, found without its searchsorted.  The
+    angles [a0, a0 + 2 pi] are cut into K buckets, K the power of two at
+    or above 2m, and r falls in bucket f(r) = int((r - a0) K / 2 pi).  f
+    is monotone and the vertex angles go through the same f, so every
+    vertex of a lower bucket has angle below r and every vertex of a
+    higher one above it: j lies among the cones lut[b] .. lut[b] +
+    count[b], where lut[b] is the cone holding the start of bucket b and
+    count[b] its vertex count.  A branchless bisection of bit_length(max
+    count) steps over the angles picks it, exactly searchsorted's index.
+
+    On cone j, gauge(w) = <grad_j, w>, and the right derivative along e is
+    <grad_j, e>, or on a boundary ray of the cone (|cross(V_j, w)| <=
+    1e-12 |V_j| |w|) the larger one of it and its neighbour's.  The ray
+    test, and the neighbour's gradient, are taken only where an angle
+    screen (angles are good to 1e-14) asks.
     """
-    V, ang = disk.vertices, disk._ang
-    m = len(V)
-    ang_next = np.append(ang[1:], ang[0] + TWO_PI)
-    # gradients padded so that cone j sits at j + 1 between its neighbours
-    gx, gy = np.concatenate([disk._grad[-1:], disk._grad, disk._grad[:1]]).T
-    vn = np.hypot(V[:, 0], V[:, 1])
+    if disk._slopes is None:
+        disk._slopes = _Slopes(disk)
+    return disk._slopes
 
-    def terms(W, Ef, Er):
+
+class _Slopes:
+    """_gauge_slopes' callback with the tables of one disk."""
+
+    __slots__ = ("a0", "scale", "lut", "steps", "ang", "ang_next",
+                 "ex", "ey", "ec", "gx", "gy", "vx", "vy")
+
+    def __init__(self, disk: UnitDisk):
+        V, ang = disk.vertices, disk._ang
+        m = len(V)
+        self.a0 = a0 = ang[0]
+        self.ang_next = np.append(ang[1:], a0 + TWO_PI)
+        self.ex, self.ey = np.ascontiguousarray(disk._edge.T)
+        self.gx, self.gy = np.ascontiguousarray(disk._grad.T)
+        self.ec = disk._edge_c
+        self.vx, self.vy = np.ascontiguousarray(V.T)
+        K = 1 << (2 * m - 1).bit_length()
+        self.scale = K / TWO_PI
+        # count[b] vertices in bucket b; bucket K holds only r = a0 + 2 pi
+        count = np.bincount(((ang - a0) * self.scale).astype(np.intp), minlength=K + 1)
+        self.lut = np.cumsum(count) - count - 1
+        bits = int(count.max()).bit_length()
+        self.steps = [1 << k for k in reversed(range(bits))]
+        # the bisection may look past the last vertex, where no angle is <= r
+        self.ang = np.append(ang, np.full(1 << bits, np.inf))
+
+    def cone(self, r: np.ndarray) -> np.ndarray:
+        """searchsorted(_ang, r, side="right") - 1 for angles r wrapped by
+        _wrapped_angle, by the bucket table."""
+        b = r - self.a0
+        b *= self.scale
+        j = self.lut.take(b.astype(np.intp))
+        for step in self.steps:
+            j += (self.ang.take(j + step) <= r) * step
+        return j
+
+    def __call__(self, W, Ef, Er):
+        gx, gy = self.gx, self.gy
         x, y = W[0], W[1]
-        j, r = _wedge_of(disk, x, y)
-        g = _cone_gauge(disk, j, x, y)
-        lo, hi = np.zeros((2,) + g.shape, dtype=bool)
-        at = np.nonzero((r - ang[j] < _RAY_SCREEN) | (ang_next[j] - r < _RAY_SCREEN))
-        if at[0].size:
-            xs, ys, js = x[at], y[at], j[at]
-            scale = 1e-12 * np.hypot(xs, ys)
-            jn = (js + 1) % m
-            lo[at] = np.abs(V[js, 0] * ys - V[js, 1] * xs) <= scale * vn[js]
-            hi[at] = np.abs(V[jn, 0] * ys - V[jn, 1] * xs) <= scale * vn[jn]
-        G = [(gx[i], gy[i]) for i in (j + 1, j + 1 - lo, j + 1 + hi)]
-        return (g,) + tuple(None if E is None else functools.reduce(
-            np.maximum, [a * E[0] + b * E[1] for a, b in G]) for E in (Ef, Er))
-
-    return terms
+        r = _wrapped_angle(self.a0, x, y)
+        j = self.cone(r)
+        g = self.ex.take(j) * y
+        g -= self.ey.take(j) * x
+        g /= self.ec.take(j)
+        G = gx.take(j), gy.take(j)
+        S = [None if E is None else G[0] * E[0] + G[1] * E[1] for E in (Ef, Er)]
+        at = np.flatnonzero((r - self.ang.take(j) < _RAY_SCREEN)
+                            | (self.ang_next.take(j) - r < _RAY_SCREEN))
+        if at.size:
+            xs, ys, j0 = x.take(at), y.take(at), j.take(at)
+            j1 = j0 + 1
+            tiny = 1e-12 * np.hypot(xs, ys)
+            on = []
+            for i in (j0, j1):
+                vx, vy = self.vx.take(i, mode="wrap"), self.vy.take(i, mode="wrap")
+                on.append(np.abs(vx * ys - vy * xs) <= tiny * np.hypot(vx, vy))
+            nbs = (j0 - on[0], j0 + on[1])
+            ix = np.unravel_index(at, g.shape)
+            for s, E in zip(S, (Ef, Er)):
+                if s is not None:
+                    e0, e1 = (c[tuple(i if n > 1 else 0 for i, n in zip(ix, c.shape))]
+                              for c in E)
+                    nb = [gx.take(i, mode="wrap") * e0 + gy.take(i, mode="wrap") * e1
+                          for i in nbs]
+                    s.put(at, np.maximum(np.maximum(s.take(at), nb[0]), nb[1]))
+        return (g,) + tuple(S)
 
 
 # -- support lines --------------------------------------------------------

@@ -13,10 +13,12 @@ Chebyshev norm of highdim, both holding and violating:
 - every reported witness is a real violation of its stated size.
 
 The cone lookup and ray test of the fused kernel are also compared with
-the plain searchsorted lookup of the gauge and its one-sided derivative.
+the plain searchsorted lookup of the gauge and its one-sided derivative,
+and the kernel's tables, built once per disk, are checked for reuse.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from mchords import (Polyline, UnitDisk, check_increasing_chords,
                      check_increasing_wrt_set, inscribed_hexagon,
                      reuleaux, reuleaux_two_sides, unit_vector)
 from mchords.highdim import PolylineD, check_increasing_chords_dd, hypercube_curve
-from mchords.normplane import _cross, _gauge_slopes, _wedge_of
+from mchords.normplane import (_cross, _gauge_slopes, _wedge_of,
+                               _wrapped_angle, gauge_many)
 from mchords.verify import (near_segment_curve, random_polygon_disk,
                             random_smooth_disk)
 
@@ -204,6 +207,22 @@ def reference_terms(disk, W, E):
     return oracles.polygon_gauge(V)(flat), s, j
 
 
+def thin_polygon(aspect, m=4096):
+    """A regular m-gon squashed to the given aspect: its vertex angles
+    crowd around 0 and pi, so some buckets of the kernel's cone lookup
+    hold hundreds of cones."""
+    t = np.arange(m) * (2.0 * math.pi / m)
+    return UnitDisk.polygon(np.stack([np.cos(t), aspect * np.sin(t)], axis=1))
+
+
+def exact_cone_gauge(V, j, w):
+    """gauge(w) = s + t for w = s V_j + t V_(j+1), in rational arithmetic,
+    rounded once."""
+    (ax, ay), (bx, by) = (map(Fraction, V[k % len(V)]) for k in (j, j + 1))
+    x, y = map(Fraction, w)
+    return float(((x * by - y * bx) + (ax * y - ay * x)) / (ax * by - ay * bx))
+
+
 def test_cone_lookup_and_ray_test_match_reference():
     rng = np.random.default_rng(275)
     # a circle sampled with most of its angles crowded into one corner:
@@ -212,10 +231,24 @@ def test_cone_lookup_and_ray_test_match_reference():
                                    np.linspace(0.01, 3.1, 9)]))
     crowded = UnitDisk.radial(np.concatenate([half, half + math.pi]),
                               np.ones(2 * len(half)))
+    thin = [thin_polygon(aspect) for aspect in (1e-2, 1e-4, 1e-6)]
     disks = [UnitDisk.square(), UnitDisk.regular_hexagon(),
              UnitDisk.euclidean(4096), UnitDisk.lp(1.5, 512),
-             random_polygon_disk(rng), random_smooth_disk(rng, 768), crowded]
+             random_polygon_disk(rng), random_smooth_disk(rng, 768), crowded] + thin
+    fullest = []
     for disk in disks:
+        terms = _gauge_slopes(disk)
+        fullest.append(int(np.diff(np.append(terms.lut, len(disk._ang) - 1)).max()))
+        # the index step alone, at the angles where it can go wrong: each
+        # vertex angle and one ulp either side of it, and both ends of the
+        # wrapped range [a0, a0 + 2 pi]
+        ang = disk._ang
+        a0, top = ang[0], ang[0] + 2.0 * math.pi
+        r = np.concatenate([ang, np.nextafter(ang[1:], -np.inf),
+                            np.nextafter(ang, np.inf),
+                            [a0, np.nextafter(top, -np.inf), top]])
+        np.testing.assert_array_equal(
+            terms.cone(r), np.searchsorted(ang, r, side="right") - 1)
         V = disk.vertices
         # vertex directions, rotated by angles around the 1e-12 ray
         # threshold, plus random directions
@@ -224,16 +257,70 @@ def test_cone_lookup_and_ray_test_match_reference():
         c, s = np.cos(rot), np.sin(rot)
         R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
         ray = np.einsum("rij,vj->rvi", R, V).reshape(-1, 2)
+        # directions one ulp of angle either side of every vertex, and
+        # just clockwise of the first one, whose angle wraps to just below
+        # a0 + 2 pi
+        near = np.concatenate([np.nextafter(ang, -np.inf), np.nextafter(ang, np.inf),
+                               [a0 - 1e-15]])
         W = np.concatenate([ray * rng.uniform(0.1, 10.0, (len(ray), 1)),
-                            rng.normal(0.0, 1.0, (2000, 2))])
+                            rng.normal(0.0, 1.0, (2000, 2)),
+                            np.stack([np.cos(near), np.sin(near)], axis=1)])
         E = rng.normal(0.0, 1.0, W.shape)
         g_ref, s_ref, j_ref = reference_terms(disk, W, E)
-        g, sf, sr = _gauge_slopes(disk)(W.T[:, None, :], E.T[:, None, :],
-                                        E.T[:, None, :])
-        np.testing.assert_allclose(g[0], g_ref, rtol=1e-14, atol=0.0)
+        g, sf, sr = terms(W.T[:, None, :], E.T[:, None, :], E.T[:, None, :])
+        if disk not in thin:
+            np.testing.assert_allclose(g[0], g_ref, rtol=1e-14, atol=0.0)
+        else:
+            # on the thin gons the facet-max oracle errs by up to 1.5e-14
+            # (its functionals reach 1e6), the kernel by 4.4e-16 (4000
+            # rows measured): check rows in exact arithmetic
+            rows = rng.choice(len(W), 300, replace=False)
+            exact = [exact_cone_gauge(V, j_ref[i], W[i]) for i in rows]
+            np.testing.assert_allclose(g[0, rows], exact, rtol=1e-15, atol=0.0)
         np.testing.assert_array_equal(sf[0], s_ref)
         np.testing.assert_array_equal(sr[0], s_ref)
         np.testing.assert_array_equal(_wedge_of(disk, *W.T)[0], j_ref)
+        # with the zero vector and the vertices themselves (the first at
+        # angle a0 exactly), the kernel's gauge is gauge_many's and its
+        # cone _wedge_of's
+        W = np.concatenate([W, [(0.0, 0.0)], V])
+        g = terms(W.T, None, None)[0]
+        np.testing.assert_array_equal(g, gauge_many(disk, W))
+        np.testing.assert_array_equal(terms.cone(_wrapped_angle(a0, *W.T)),
+                                      _wedge_of(disk, *W.T)[0])
+    # the fullest buckets of the thin gons: 6, 10 and 11 bisection steps
+    assert fullest[-3:] == [50, 940, 1024]
+
+
+def test_slope_tables_are_built_once_per_disk():
+    rng = np.random.default_rng(277)
+    spec = {"kind": "builtin", "name": "lp", "p": 3.0}
+    for new_disk, theta in ((lambda: UnitDisk.from_spec(spec, 1024), 0.4),
+                            (UnitDisk.square, 0.0)):
+        disk = new_disk()
+        assert disk._slopes is None
+        p = unit_vector(disk, theta)
+        before = inscribed_hexagon(disk, p)
+        tables = disk._slopes
+        walk = np.cumsum(rng.normal(0.0, 1.0, (30, 2)), axis=0)
+        anchors = rng.normal(0.0, 1.0, (3, 2))
+
+        def reports(d):
+            return ([check_increasing_chords(d, Polyline(P)).to_dict()
+                     for P in (chain_curve(d, theta), walk)]
+                    + [check_increasing_wrt_set(d, Polyline(walk), anchors).to_dict()])
+
+        first = reports(disk)
+        assert disk._slopes is tables and _gauge_slopes(disk) is tables
+        assert reports(disk) == first
+        assert disk._slopes is tables
+        # the same reports from a disk that has not run the kernel yet
+        assert reports(new_disk()) == first
+        after = inscribed_hexagon(disk, p)
+        np.testing.assert_array_equal(after.vertices, before.vertices)
+        assert after.q_unique == before.q_unique
+    # the square's hexagon at a vertex has parallel flat sides
+    assert not after.q_unique
 
 
 def test_zero_difference_uses_edge_gauge():
