@@ -420,9 +420,9 @@ def _gauge_slopes(disk: UnitDisk) -> "_Slopes":
     as a callback terms(W, Ef, Er) -> (gauge(W), slope along Ef, slope
     along Er).  W is component first, (2, ...), the edges have its axes
     and broadcast against it, and None skips a slope.  The callback holds
-    the disk's tables (edge, gradient and vertex columns, the bucket
-    table); it is built on the disk's first call and kept on the disk, so
-    later calls cost nothing to set up.
+    the disk's tables (edge and gradient columns, the bucket table); it is
+    built on the disk's first call and kept on the disk, so later calls
+    cost nothing to set up.
 
     The cone j of w is _wedge_of's, found without its searchsorted.  The
     angles [a0, a0 + 2 pi] are cut into K buckets, K the power of two at
@@ -448,27 +448,28 @@ def _gauge_slopes(disk: UnitDisk) -> "_Slopes":
 class _Slopes:
     """_gauge_slopes' callback with the tables of one disk."""
 
-    __slots__ = ("a0", "scale", "lut", "steps", "ang", "ang_next",
-                 "ex", "ey", "ec", "gx", "gy", "vx", "vy")
+    __slots__ = ("V", "a0", "scale", "lut", "steps", "ang", "ang_next",
+                 "ex", "ey", "ec", "gx", "gy")
 
     def __init__(self, disk: UnitDisk):
-        V, ang = disk.vertices, disk._ang
-        m = len(V)
+        ang = disk._ang
+        m = len(ang)
+        self.V = disk.vertices
         self.a0 = a0 = ang[0]
-        self.ang_next = np.append(ang[1:], a0 + TWO_PI)
+        self.ang_next = np.concatenate((ang[1:], [a0 + TWO_PI]))
         self.ex, self.ey = np.ascontiguousarray(disk._edge.T)
         self.gx, self.gy = np.ascontiguousarray(disk._grad.T)
         self.ec = disk._edge_c
-        self.vx, self.vy = np.ascontiguousarray(V.T)
         K = 1 << (2 * m - 1).bit_length()
         self.scale = K / TWO_PI
         # count[b] vertices in bucket b; bucket K holds only r = a0 + 2 pi
         count = np.bincount(((ang - a0) * self.scale).astype(np.intp), minlength=K + 1)
-        self.lut = np.cumsum(count) - count - 1
+        self.lut = count.cumsum()
+        self.lut -= count + 1
         bits = int(count.max()).bit_length()
         self.steps = [1 << k for k in reversed(range(bits))]
         # the bisection may look past the last vertex, where no angle is <= r
-        self.ang = np.append(ang, np.full(1 << bits, np.inf))
+        self.ang = np.concatenate((ang, np.full(1 << bits, np.inf)))
 
     def cone(self, r: np.ndarray) -> np.ndarray:
         """searchsorted(_ang, r, side="right") - 1 for angles r wrapped by
@@ -498,7 +499,7 @@ class _Slopes:
             tiny = 1e-12 * np.hypot(xs, ys)
             on = []
             for i in (j0, j1):
-                vx, vy = self.vx.take(i, mode="wrap"), self.vy.take(i, mode="wrap")
+                vx, vy = self.V.take(i, axis=0, mode="wrap").T
                 on.append(np.abs(vx * ys - vy * xs) <= tiny * np.hypot(vx, vy))
             nbs = (j0 - on[0], j0 + on[1])
             ix = np.unravel_index(at, g.shape)
