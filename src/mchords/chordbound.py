@@ -301,7 +301,10 @@ def _min_lm(disk: UnitDisk) -> float:
 def lm(disk: UnitDisk, direction: float) -> float:
     """Half the M-perimeter of M Intersect (q + M) with q the unit vector
     of the given direction."""
-    return float(_lm_many(disk, np.array([float(direction)]))[0])
+    direction = float(direction)
+    if not math.isfinite(direction):
+        raise ValueError("lm: direction must be finite, got %r" % direction)
+    return float(_lm_many(disk, np.array([direction]))[0])
 
 
 def lm_sweep(disk: UnitDisk, n: int) -> LmProfile:

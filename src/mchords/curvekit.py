@@ -78,6 +78,9 @@ class Witness:
     gauge(f_b - f_c); fractional entries denote points inside an edge
     (j + 1e-6 means just past vertex j).  For anchored checks, quad is
     (t1, t1, t2, t2) and anchor is the index of the offending anchor.
+    deficit is the size of the violation on the line the witness was
+    placed from: a vertex line's largest drop, or an edge line's fastest
+    rate of shrinking.
     """
     quad: tuple
     deficit: float
@@ -86,6 +89,13 @@ class Witness:
 
 @dataclass
 class ChordReport:
+    """A checker's verdict: holds is max_deficit <= tol.
+
+    max_deficit is the largest violation found, clamped at 0.  A refused
+    check lists witnesses from the _MAX_WITNESSES (16) worst lines above
+    tol, worst first, so the first carries max_deficit; ties keep the scan
+    order.  A check that holds lists none.
+    """
     holds: bool
     max_deficit: float
     witnesses: list = field(default_factory=list)
@@ -151,9 +161,9 @@ def _run_two_sided(P: np.ndarray, pair_terms, tol: float):
     both halves (gauge(-w) = gauge(w)), the slope along E_h the forward
     edge test at anchor l, the slope along E_{l-1} the reversed one at h.
     Row blocks go bottom up; a reversed scan runs up a column and carries
-    a running max or min per column, so memory is O(block + n).  The first
-    4 * 16 violating lines of each scan, in its own order, are computed
-    again alone to place their witnesses.
+    a running max or min per column, so memory is O(block + n).  Column h
+    of a reversed scan is row n - 1 - h of the reversed curve, the order
+    in which _witnesses ranks and places it.
     """
     n = len(P)
     PT = np.ascontiguousarray(P.T)
@@ -184,41 +194,53 @@ def _run_two_sided(P: np.ndarray, pair_terms, tol: float):
         np.minimum(low[l0 + 1:], sr[int(l0 == 0):].min(axis=0, initial=np.inf),
                    out=low[l0 + 1:])
     re[1:] = -np.minimum(gE, low[1:])
-    deficit = max(0.0, float(max(fv.max(), fe.max(), rv.max(), re.max())))
+    lines = np.concatenate([fv, fe, rv[::-1], re[::-1]])
 
-    def line(*lh):
-        return [t.ravel() for t in _pair_terms(PT, ET, gET, pair_terms, *lh)]
+    def line(kind, i):
+        if kind < 2:
+            g, s, _ = _pair_terms(PT, ET, gET, pair_terms, i, i + 1, i, n)
+            return i, g[0], s[0]
+        h = n - 1 - i  # column h, read upward, is row i of the reversed curve
+        g, _, s = _pair_terms(PT, ET, gET, pair_terms, 0, h + 1, h, h + 1)
+        return i, g[::-1, 0], s[::-1, 0]
 
-    cap = 4 * _MAX_WITNESSES
-    wits = []
-    for l in np.flatnonzero(fv > tol)[:cap].tolist():
-        g = line(l, l + 1, l + 1, n)[0]
-        k = l + 2 + int(np.argmax(np.maximum.accumulate(g)[:-1] - g[1:]))
-        j = l + 1 + int(np.argmax(g[:k - l - 1]))
-        wits.append(Witness((l, l, j, k), float(fv[l])))
-    for l in np.flatnonzero(fe > tol)[:cap].tolist():
-        sf = line(l, l + 1, l + 1, n)[1]
-        j = l + int(np.argmin(np.concatenate(([gE[l]], sf[:-1]))))
-        wits.append(Witness((l, l, j, j + _PAST_VERTEX), float(fe[l])))
-    # reversed scans: columns from the last point down, each bottom up
-    for h in np.flatnonzero(rv > tol)[::-1][:cap].tolist():
-        g = line(0, h, h, h + 1)[0][::-1]
-        t = int(np.argmax(np.maximum.accumulate(g)[:-1] - g[1:]))
-        j = h - 1 - int(np.argmax(g[:t + 1]))
-        wits.append(Witness((h - 2 - t, j, h, h), float(rv[h])))
-    for h in np.flatnonzero(re > tol)[::-1][:cap].tolist():
-        sr = line(0, h, h, h + 1)[2]
-        l = h - int(np.argmin(np.concatenate(([gE[h - 1]], sr[:0:-1]))))
-        # n - 1 - l indexes the edge along the reversed curve
-        wits.append(Witness((n - 1 - (n - 1 - l + _PAST_VERTEX), l, h, h),
-                            float(re[h])))
-    wits.sort(key=lambda w: -w.deficit)
-    return deficit, wits[:_MAX_WITNESSES]
+    wits = [Witness((i, i, c, d) if kind < 2 else
+                    (n - 1 - d, n - 1 - c, n - 1 - i, n - 1 - i), dfc)
+            for kind, i, c, d, dfc in _witnesses(lines, tol, n, line)]
+    return max(0.0, float(lines.max())), wits
+
+
+def _witnesses(lines, tol, n, line):
+    """(kind, i, c, d, deficit) of the _MAX_WITNESSES worst lines above tol,
+    worst first, ties in order.  `lines` holds n deficits per kind; even
+    kinds are vertex lines, odd kinds edge lines.  line(kind, i) gives
+    (c0, g, s): gauges and edge slopes at columns c0, c0 + 1, ...  A
+    vertex line's witness is its largest drop below the running max of g,
+    from column c to d; an edge line's is its first least slope, at c, and
+    d = c + _PAST_VERTEX."""
+    order = np.argsort(-lines, kind="stable")[:_MAX_WITNESSES]
+    for at in order[lines[order] > tol].tolist():
+        kind, i = divmod(at, n)
+        c0, g, s = line(kind, i)
+        if kind % 2:
+            c = c0 + int(np.argmin(s[:-1]))  # no edge starts at the last point
+            d = c + _PAST_VERTEX
+        else:
+            d = 1 + int(np.argmax(np.maximum.accumulate(g)[:-1] - g[1:]))
+            c, d = c0 + int(np.argmax(g[:d])), c0 + d
+        yield kind, i, c, d, float(lines[at])
+
+
+def _checked_tol(tol) -> float:
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError("tol must be a finite number >= 0, got %r" % tol)
+    return tol
 
 
 def _default_tol(disk: UnitDisk, tol):
     if tol is not None:
-        return float(tol)
+        return _checked_tol(tol)
     return 1e-9 if disk.is_polygonal else 1e-6
 
 
@@ -248,8 +270,7 @@ def check_increasing_chords(disk: UnitDisk, curve: Polyline,
     deficit, wits = _run_two_sided(curve.points, _gauge_slopes(disk), tol)
     mode = "exact_polygonal" if disk.is_polygonal else "tolerance"
     return ChordReport(holds=deficit <= tol, max_deficit=deficit,
-                       witnesses=wits if deficit > tol else [],
-                       mode=mode, tol=tol)
+                       witnesses=wits, mode=mode, tol=tol)
 
 
 def check_increasing_wrt_set(disk: UnitDisk, curve: Polyline, anchors,
@@ -266,6 +287,10 @@ def check_increasing_wrt_set(disk: UnitDisk, curve: Polyline, anchors,
     if A.ndim != 2 or A.shape[1] != 2 or len(A) == 0:
         raise ValueError("check_increasing_wrt_set: anchors must be a "
                          "non-empty (m, 2) array")
+    bad = np.flatnonzero(~np.isfinite(A).all(axis=1))
+    if len(bad):
+        raise ValueError("check_increasing_wrt_set: anchor row %d, %s, is not "
+                         "finite" % (bad[0], A[bad[0]].tolist()))
     tol = _default_tol(disk, tol)
     pair_terms = _gauge_slopes(disk)
     P = curve.points
@@ -273,31 +298,26 @@ def check_increasing_wrt_set(disk: UnitDisk, curve: Polyline, anchors,
     # anchors are rows n.. of the point table, curve points its columns
     PT = np.ascontiguousarray(np.concatenate([P, A]).T)
     ET, gET = _edge_table(P, pair_terms)
-    best = 0.0
-    cap = 4 * _MAX_WITNESSES
-    vwits, ewits = [], []
+    vdef, edef = np.empty((2, m))  # deficit per anchor
     step = max(1, _BLOCK_ELEMS // n)
     for a0 in range(0, m, step):
         a1 = min(a0 + step, m)
         g, sf, _ = _pair_terms(PT, ET, gET, pair_terms, n + a0, n + a1, 0, n,
                                reverse=False)
-        viol = np.maximum.accumulate(g, axis=1)[:, :-1] - g[:, 1:]
-        vmax = viol.max(axis=1)
-        sf[:, -1] = np.inf  # no edge starts at the last point
-        emax = -sf.min(axis=1)
-        best = max(best, float(vmax.max()), float(emax.max()))
-        for r in np.flatnonzero(vmax > tol)[:cap - len(vwits)].tolist():
-            k = 1 + int(np.argmax(viol[r]))
-            j = int(np.argmax(g[r, :k]))
-            vwits.append(Witness((j, j, k, k), float(vmax[r]), anchor=a0 + r))
-        for r in np.flatnonzero(emax > tol)[:cap - len(ewits)].tolist():
-            j = int(np.argmin(sf[r]))
-            ewits.append(Witness((j, j, j + _PAST_VERTEX, j + _PAST_VERTEX),
-                                 float(emax[r]), anchor=a0 + r))
-    wits = sorted(vwits + ewits, key=lambda w: -w.deficit)
+        vdef[a0:a1] = (np.maximum.accumulate(g, axis=1)[:, :-1] - g[:, 1:]).max(axis=1)
+        edef[a0:a1] = -sf[:, :-1].min(axis=1)  # no edge starts at the last point
+    lines = np.concatenate([vdef, edef])
+
+    def line(kind, r):
+        g, s, _ = _pair_terms(PT, ET, gET, pair_terms, n + r, n + r + 1, 0, n,
+                              reverse=False)
+        return 0, g[0], s[0]
+
+    wits = [Witness((c, c, d, d), dfc, anchor=r)
+            for _, r, c, d, dfc in _witnesses(lines, tol, m, line)]
+    best = max(0.0, float(lines.max()))
     mode = "exact_polygonal" if disk.is_polygonal else "tolerance"
-    return ChordReport(holds=best <= tol, max_deficit=best,
-                       witnesses=wits[:_MAX_WITNESSES] if best > tol else [],
+    return ChordReport(holds=best <= tol, max_deficit=best, witnesses=wits,
                        mode=mode, tol=tol)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvekit import ChordReport, Witness, _run_two_sided
+from .curvekit import ChordReport, Witness, _checked_tol, _run_two_sided
 
 
 class PolylineD:
@@ -96,6 +96,7 @@ def check_increasing_chords_dd(curve: PolylineD, samples_per_edge: int = 8,
         raise ValueError("check_increasing_chords_dd: need samples_per_edge >= 1")
     if len(curve) < 2:
         raise ValueError("check_increasing_chords_dd: need at least 2 points")
+    tol = _checked_tol(tol)
     P = curve.points
     n, dim = P.shape
     spe = int(samples_per_edge)
@@ -105,10 +106,9 @@ def check_increasing_chords_dd(curve: PolylineD, samples_per_edge: int = 8,
     aug = np.concatenate([
         np.concatenate([P[:-1, None, :], inner], axis=1).reshape(-1, dim),
         P[-1:]], axis=0)
-    deficit, wits = _run_two_sided(aug, _cheb_pair_terms, float(tol))
+    deficit, wits = _run_two_sided(aug, _cheb_pair_terms, tol)
     scale = 1.0 / (spe + 1)
     wits = [Witness(tuple(x * scale for x in w.quad), w.deficit, w.anchor)
             for w in wits]
     return ChordReport(holds=deficit <= tol, max_deficit=deficit,
-                       witnesses=wits if deficit > tol else [],
-                       mode="exact_polygonal", tol=float(tol))
+                       witnesses=wits, mode="exact_polygonal", tol=tol)

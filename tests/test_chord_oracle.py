@@ -71,21 +71,36 @@ def planar_curves(rng, disk):
     yield chain_curve(disk, ang)
 
 
-def assert_witnesses_real(P, rep, gaugef):
+def assert_witnesses_real(P, rep, gaugef, anchors=None):
     """Vertex witnesses (i, i, j, k) and (i, j, k, k) must show their
     deficit as a gauge difference; edge witnesses must show it as the
-    drop rate of the chord at the edge end they name."""
+    drop rate of the chord at the edge end they name.  Anchored witnesses
+    (j, j, k, k) and (j, j, j + 1e-6, j + 1e-6) show theirs as the drop of
+    the gauge from their anchor from point j to point k, or as its drop
+    rate at the start of edge j."""
     n = len(P)
     for w in rep.witnesses:
         a, b, c, d = w.quad
-        if all(float(x).is_integer() for x in w.quad):
+        vertex = all(float(x).is_integer() for x in w.quad)
+        if w.anchor is not None:
+            p, j = anchors[w.anchor], int(a)
+            assert a == b == j and c == d and j < n - 1
+            if vertex:
+                k = int(c)
+                assert j < k < n
+                inner, outer = gaugef(P[j] - p), gaugef(P[k] - p)
+                assert abs((inner - outer) - w.deficit) <= 1e-12 * max(1.0, inner)
+                continue
+            assert c == j + 1e-6
+            base, e = P[j] - p, P[j + 1] - P[j]
+        elif vertex:
             a, b, c, d = (int(x) for x in w.quad)
             assert a == b or c == d
             inner = gaugef(P[c] - P[b])
             outer = gaugef(P[d] - P[a])
             assert abs((inner - outer) - w.deficit) <= 1e-12 * max(1.0, inner)
             continue
-        if a == b:   # (i, i, j, j + 1e-6): anchor i, start of edge j
+        elif a == b:   # (i, i, j, j + 1e-6): anchor i, start of edge j
             i, j = int(a), int(c)
             assert d == j + 1e-6 and j < n - 1
             base, e = P[j] - P[i], P[j + 1] - P[j]
@@ -96,6 +111,16 @@ def assert_witnesses_real(P, rep, gaugef):
         t = 1e-7
         drop = (gaugef(base) - gaugef(base + t * e)) / t
         assert abs(drop - w.deficit) <= 1e-5 * max(1.0, w.deficit)
+
+
+def assert_worst_first(rep):
+    """A refused check lists at most 16 witnesses above its tolerance, in
+    non-increasing deficit, and the first carries max_deficit."""
+    assert not rep.holds
+    deficits = [w.deficit for w in rep.witnesses]
+    assert 1 <= len(deficits) <= 16
+    assert deficits[0] == rep.max_deficit
+    assert all(x >= y > rep.tol for x, y in zip(deficits, deficits[1:]))
 
 
 def check_against_oracle(disk, P, rep, gaugef, facets):
@@ -187,6 +212,28 @@ def test_wrt_set_matches_definition():
                 assert drop <= rep.tol + 1e-12
             if float((np.maximum.accumulate(G[:, ::17], axis=1) - G[:, ::17]).max()) > rep.tol:
                 assert not rep.holds
+            assert_witnesses_real(P, rep, gaugef, A)
+
+
+# a long walk's worst violation lies past the first 64 violating lines of
+# its scan, so witnesses kept in scan order and sorted afterwards miss it
+
+def test_two_sided_witnesses_put_the_worst_first():
+    disk = UnitDisk.lp(3.0, 4096)
+    P = np.cumsum(np.random.default_rng(1).normal(size=(200, 2)), axis=0)
+    rep = check_increasing_chords(disk, Polyline(P))
+    assert_worst_first(rep)
+    assert_witnesses_real(P, rep, oracles.polygon_gauge(disk.vertices))
+
+
+def test_anchored_witnesses_put_the_worst_first():
+    disk = UnitDisk.lp(3.0, 4096)
+    rng = np.random.default_rng(3)
+    P = np.cumsum(rng.normal(size=(60, 2)), axis=0)
+    A = rng.normal(0.0, 5.0, (150, 2))
+    rep = check_increasing_wrt_set(disk, Polyline(P), A)
+    assert_worst_first(rep)
+    assert_witnesses_real(P, rep, oracles.polygon_gauge(disk.vertices), A)
 
 
 def reference_terms(disk, W, E):
@@ -351,3 +398,20 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch):
                         for P in curves])
     assert all(r == reports[0] for r in reports[1:])
     assert [r["holds"] for r in reports[0]] == [True, False, False]
+
+
+def test_tied_witnesses_keep_scan_order():
+    # a zigzag on the square: every backward unit edge drops the chords
+    # from the points before it at rate 2, so 16 of the 30 tied edge
+    # lines are listed, forward rows up, then reversed columns down
+    sq = UnitDisk.square()
+    P = np.concatenate([[(0.0, 0.0)],
+                        np.cumsum(np.tile([(2.0, 0.0), (-1.0, 0.0)], (15, 1)), axis=0)])
+    n = len(P)
+    rep = check_increasing_chords(sq, Polyline(P))
+    assert_worst_first(rep)
+    assert_witnesses_real(P, rep, oracles.polygon_gauge(sq.vertices))
+    want = ([(l, l, l + 1, l + 1 + 1e-6) for l in range(1, 28, 2)]
+            + [(n - 1 - ((n - 1 - l) + 1e-6), l, l + 1, l + 1) for l in (29, 27)])
+    assert [w.quad for w in rep.witnesses] == want
+    assert {w.deficit for w in rep.witnesses} == {2.0}

@@ -78,6 +78,12 @@ def test_lm_values():
     assert abs(lm(sq, math.pi / 4) - 2.0) <= 1e-9
 
 
+def test_lm_refuses_a_non_finite_direction():
+    for d in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="direction"):
+            lm(UnitDisk.square(), d)
+
+
 def test_lm_sweep_profiles():
     eu = UnitDisk.euclidean(4096)
     pe = lm_sweep(eu, 360)

@@ -7,6 +7,7 @@ from mchords import (GeometryError, Polyline, UnitDisk, UnsupportedDiskError,
                      arclength, bisector_sample, check_increasing_chords,
                      check_increasing_wrt_set, convexify, gauge, gauge_many,
                      is_x_monotone, unit_vector)
+from mchords.highdim import check_increasing_chords_dd, hypercube_curve
 from mchords.verify import (builtin_disks, near_segment_curve, random_smooth_disk,
                             random_xmonotone)
 
@@ -95,6 +96,22 @@ def test_check_errors():
         check_increasing_chords(e, Polyline([(0, 0), (1, 0), (1, 1)],
                                             closed=True))
 
+
+
+def test_checkers_refuse_non_finite_and_negative_inputs():
+    e = UnitDisk.euclidean(256)
+    seg = Polyline([(0.0, 0.0), (1.0, 0.0)])
+    for tol in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            check_increasing_chords(e, seg, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            check_increasing_wrt_set(e, seg, [(0.0, 0.0)], tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            check_increasing_chords_dd(hypercube_curve(2), tol=tol)
+    assert check_increasing_chords(e, seg, tol=0.0).holds
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="anchor row 1"):
+            check_increasing_wrt_set(e, seg, [(0.0, 0.0), (bad, 0.0)])
 
 def test_check_reuleaux_two_sides():
     # chord sampling dips inside the body by ~step^2/8 between samples, so

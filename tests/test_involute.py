@@ -9,6 +9,9 @@ from mchords.curvekit import check_increasing_chords, check_increasing_wrt_set
 from mchords.errors import GeometryError
 from mchords.involute import (ConvexBody, build_involute,
                               involute_support_direction)
+from mchords.verify import random_base_body, random_smooth_disk
+
+import oracles
 
 PI = math.pi
 
@@ -243,6 +246,25 @@ def test_half_pi_windows_have_increasing_chords():
             cur = build_involute(norm, base, p, t0, t0 + 0.5 * PI, 200)
             rep = check_increasing_chords(norm, cur.points)
             assert rep.holds, (norm, t0, rep.max_deficit)
+
+
+def test_a_half_pi_window_of_one_pair_is_refused():
+    # width pi/2 is not enough for every (norm, base) pair: this one
+    # refuses its window by 7.07e-4 at 512 norm samples (7.08e-4 at 2048
+    # and 8192), as the facet-max oracle does, while width 1.3 holds
+    rng = np.random.default_rng([13032, 8, 3])
+    base = random_base_body(rng, exact=False)
+    norm = random_smooth_disk(rng)
+    t0 = 0.41608074454505695
+    cur = build_involute(norm, base, base.vertices[0], t0, t0 + 0.5 * PI, 300)
+    rep = check_increasing_chords(norm, cur.points)
+    assert not rep.holds
+    assert 7.0e-4 <= rep.max_deficit <= 7.2e-4
+    oracle = oracles.chord_deficit(cur.points.points,
+                                   oracles.polygon_gauge(norm.vertices))
+    assert abs(oracle - rep.max_deficit) <= 1e-12
+    cur = build_involute(norm, base, base.vertices[0], t0, t0 + 1.3, 300)
+    assert check_increasing_chords(norm, cur.points).holds
 
 
 def test_full_pi_window_can_fail():

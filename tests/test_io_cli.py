@@ -286,6 +286,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_non_finite_and_negative_inputs_exit_2(tmp_path, capsys):
+    curve = write_curve(tmp_path / "c.csv", [[0, 0], [1, 0], [2, 0.5]])
+    calls = [["lm", "--dir", "nan"], ["lm", "--dir", "inf"],
+             ["hypercube", "-d", "2", "--check", "--tol", "nan"]]
+    for tol in ("nan", "inf", "-1"):
+        calls += [["check", "--curve", curve, "--tol", tol],
+                  ["check-wrt", "--curve", curve, "--anchors", curve, "--tol", tol]]
+    for row in ("nan,0", "inf,0", "0,-inf"):
+        anchors = tmp_path / "a.csv"
+        anchors.write_text("x,y\n0,0\n%s\n" % row)
+        calls.append(["check-wrt", "--curve", curve, "--anchors", str(anchors)])
+    for argv in calls:
+        assert main(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:"), argv
+    assert main(calls[-1]) == 2
+    assert "anchor row 1" in capsys.readouterr().err
+
+
 def test_cached_parser_is_reentrant(capsys):
     # main builds its parser once per process; a usage error, then valid
     # calls, then --help twice, must behave as on a freshly built parser
