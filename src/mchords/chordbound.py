@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GeometryError
 from .normplane import (ConvexBody, UnitDisk, as_vec, gauge, gauge_many,
                         unit_vectors, locate_on_boundary, _cross,
-                        _gauge_slopes, _vertices_of, _wedge_of)
+                        _gauge_slopes, _shift, _vertices_of, _wedge_of)
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,7 @@ class DiskFamilyParams:
         return np.arange(self.k) * (math.pi / self.k)
 
     def disk(self) -> UnitDisk:
-        th = self.angles
-        half = self.radii[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
-        return UnitDisk.polygon(np.concatenate([half, -half], axis=0))
+        return _family_ring(self.radii, _family_rays(self.k))
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,7 @@ def perimeter(disk: UnitDisk, body) -> float:
     V = _vertices_of(body)
     if len(V) < 3:
         raise GeometryError("perimeter: need at least 3 boundary points")
-    E = np.roll(V, -1, axis=0) - V
+    E = _shift(V) - V
     return float(gauge_many(disk, E).sum())
 
 
@@ -478,32 +476,52 @@ def bounding_parallelogram(disk: UnitDisk, p, q) -> np.ndarray:
 
 # -- the MaxMin search ----------------------------------------------------
 
-def _repair_radii(r: np.ndarray, k: int) -> np.ndarray:
+_OUTWARD = np.array([1.0, -1.0])  # E[:, ::-1] * _OUTWARD: (E1, -E0), outward of CCW E
+
+
+def _family_rays(k: int) -> np.ndarray:
+    """Unit vectors at the k family angles i pi / k, one row each."""
+    th = np.arange(k) * (math.pi / k)
+    return np.stack([np.cos(th), np.sin(th)], axis=1)
+
+
+def _family_ring(r: np.ndarray, U: np.ndarray) -> UnitDisk:
+    """The mirrored 2k-gon with vertices r_i U_i and their negations."""
+    half = r[:, None] * U
+    return UnitDisk.polygon(np.concatenate([half, -half], axis=0))
+
+
+def _repair_radii(r: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Retract radii onto the cone of convex mirrored 2k-gons: take the
     convex hull of the radial vertex set and re-intersect it with the
-    sample rays.  Identity on already-convex radii, always feasible."""
-    from scipy.spatial import ConvexHull
-    th = np.arange(k) * (math.pi / k)
-    U = np.stack([np.cos(th), np.sin(th)], axis=1)
+    rays U.  Identity on already-convex radii, always feasible.
+
+    The 2k points are in CCW angular order around the origin, which is
+    interior, and a point whose turn is <= 0 lies in the triangle of the
+    origin and its two neighbours, so it is not a hull vertex.  Dropping
+    every such point and repeating until none is left gives the hull.
+    """
     pts = r[:, None] * U
-    sym = np.concatenate([pts, -pts])
-    H = sym[ConvexHull(sym).vertices]  # CCW in 2-D
-    E = np.roll(H, -1, axis=0) - H
-    N = np.stack([E[:, 1], -E[:, 0]], axis=1)
+    H = np.concatenate([pts, -pts])
+    while True:
+        E = _shift(H) - H
+        left = _cross(_shift(E, -1), E) > 0.0
+        if left.all():
+            break
+        H = H[left]
+    N = E[:, ::-1] * _OUTWARD
     c = np.einsum("ij,ij->i", N, H)
     den = U @ N.T
-    with np.errstate(divide="ignore"):
-        cand = np.where(den > 1e-12, c[None, :] / np.where(den > 1e-12, den, 1.0),
-                        np.inf)
-    return cand.min(axis=1)
+    hit = den > 1e-12  # the rays that cross each edge's line outward
+    return np.where(hit, c[None, :] / np.where(hit, den, 1.0), np.inf).min(axis=1)
 
 
-def _family_disk(x: np.ndarray, k: int):
-    r = np.exp(np.clip(x, -1.5, 1.5))
-    r = _repair_radii(r, k)
+def _family_disk(x: np.ndarray, U: np.ndarray):
+    """The family disk of log-radii x on the rays U, and its parameters."""
+    r = np.exp(np.minimum(np.maximum(x, -1.5), 1.5))  # np.clip's result, at less cost
+    r = _repair_radii(r, U)
     r = r / r.max()
-    params = DiskFamilyParams(k=k, radii=r)
-    return params.disk(), params
+    return _family_ring(r, U), DiskFamilyParams(k=len(U), radii=r)
 
 
 def maxmin_search(k: int, budget: int, seed: int = 0,
@@ -526,11 +544,12 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
     if sweep_n < 4:
         raise ValueError("maxmin_search: need sweep_n >= 4")
     rng = np.random.default_rng(seed)
+    U = _family_rays(k)
     starts = [np.zeros(k)] + [rng.normal(0.0, 0.12, size=k) for _ in range(3)]
     state = {"best": -np.inf, "x": starts[0], "evals": 0}
 
     def objective(x):
-        disk, _ = _family_disk(np.asarray(x, dtype=float), k)
+        disk, _ = _family_disk(np.asarray(x, dtype=float), U)
         val = _min_lm(disk)
         state["evals"] += 1
         if val > state["best"]:
@@ -547,6 +566,6 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
             minimize(lambda x: -objective(x), x0, method="Nelder-Mead",
                      options={"maxfev": per_start, "xatol": 1e-4,
                               "fatol": 1e-7, "adaptive": True})
-    disk, params = _family_disk(state["x"], k)
+    disk, params = _family_disk(state["x"], U)
     return MaxMinResult(params=params, objective=float(state["best"]),
                         evaluations=state["evals"], disk=disk)

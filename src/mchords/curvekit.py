@@ -342,6 +342,9 @@ def bisector_sample(disk: UnitDisk, a, b, y_range, n: int) -> BisectorSample:
     if n < 1:
         raise ValueError("bisector_sample: n must be >= 1")
     lo, hi = float(y_range[0]), float(y_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("bisector_sample: the offset range [%.17g, %.17g] is "
+                         "not finite" % (lo, hi))
     if n > 1 and lo == hi:
         raise ValueError("bisector_sample: the offset range [%.17g, %.17g] is "
                          "empty, so its %d samples would coincide" % (lo, hi, n))

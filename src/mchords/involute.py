@@ -24,6 +24,8 @@ from .normplane import (ConvexBody, UnitDisk, gauge, gauge_many, unit_vectors,
                         locate_on_boundary, _wedge_of, TWO_PI)
 from .curvekit import Polyline
 
+_MAX_EVENTS = 1 << 20  # ladder and norm events of one build_involute call
+
 
 @dataclass(frozen=True)
 class InvoluteSupport:
@@ -104,11 +106,23 @@ def build_involute(norm: UnitDisk, base: ConvexBody, p, theta_min: float,
     at p (reported as `rotation`); theta = 0 always maps to p.  For an
     exact polygonal base, p must be a vertex and the edge-direction
     events are always included among the samples.
+
+    The unrolling holds one event per base vertex (and per norm vertex,
+    for a polygonal norm) per turn between theta = 0 and the far end of
+    the range.  A range needing more than 2**20 of them, counted as
+    (turns + 2) * (events per turn) with turns = (max(theta_max, 0) -
+    min(theta_min, 0)) / (2 pi), raises ValueError, as does a non-finite
+    theta.  Under that bound |theta| < 2**20 * pi, far below where adding
+    the base's largest turn (at least 2 pi / m for m vertices) would no
+    longer move the angle.
     """
     if n < 2:
         raise ValueError("build_involute: need n >= 2 samples")
     theta_min = float(theta_min)
     theta_max = float(theta_max)
+    if not (math.isfinite(theta_min) and math.isfinite(theta_max)):
+        raise ValueError("build_involute: theta range [%g, %g] is not finite"
+                         % (theta_min, theta_max))
     if not theta_min < theta_max:
         raise ValueError("build_involute: empty theta range")
     W = base.vertices
@@ -119,6 +133,12 @@ def build_involute(norm: UnitDisk, base: ConvexBody, p, theta_min: float,
             "build_involute: for an exact polygonal base the anchor must be "
             "a vertex (the support line through an edge-interior point "
             "touches along the whole edge)")
+    per_turn = m + (len(norm.vertices) if norm.is_polygonal else 0)
+    turns = (max(theta_max, 0.0) - min(theta_min, 0.0)) / TWO_PI
+    if (turns + 2.0) * per_turn > _MAX_EVENTS:
+        raise ValueError("build_involute: theta range [%g, %g] spans %.3g turns "
+                         "of %d events each, more than %d events"
+                         % (theta_min, theta_max, turns, per_turn, _MAX_EVENTS))
     # i0: outgoing edge index (for a vertex anchor, the edge leaving it)
     F = np.roll(W, -1, axis=0) - W
     g = gauge_many(norm, F)

@@ -20,6 +20,7 @@ from .errors import InvalidDiskError, GeometryError
 
 DEFAULT_RESOLUTION = 4096
 TWO_PI = 2.0 * math.pi
+_LEFT = np.array([-1.0, 1.0])  # e[:, ::-1] * _LEFT: (-y, x), the left normal of e
 _RAY_SCREEN = 2e-12  # angle from a cone's boundary ray that gets the ray test
 
 # Type alias only; vectors are plain (2,) float arrays throughout.
@@ -43,6 +44,13 @@ def _cross(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
+def _shift(a: np.ndarray, k: int = 1) -> np.ndarray:
+    """Rows of a moved up cyclically: row i is a[(i + k) % n].  The same
+    array as np.roll(a, -k, axis=0), built by two slices."""
+    k %= len(a)
+    return np.concatenate((a[k:], a[:k]))
+
+
 def _validate_symmetric_polygon(V: np.ndarray, what: str) -> None:
     """Reject vertex lists that do not bound an origin-symmetric convex disk
     with the origin strictly inside.  Diagnostics name the offending vertex."""
@@ -53,7 +61,7 @@ def _validate_symmetric_polygon(V: np.ndarray, what: str) -> None:
         raise InvalidDiskError("%s: need at least 4 vertices, got %d" % (what, n))
     if n % 2 != 0:
         raise InvalidDiskError("%s: symmetric disk needs an even vertex count, got %d" % (what, n))
-    if not np.all(np.isfinite(V)):
+    if not np.isfinite(V).all():
         bad = int(np.where(~np.isfinite(V).all(axis=1))[0][0])
         raise InvalidDiskError("%s: vertex %d is not finite" % (what, bad))
     scale = float(np.abs(V).max())
@@ -62,20 +70,20 @@ def _validate_symmetric_polygon(V: np.ndarray, what: str) -> None:
 
     # origin symmetry: antipodal vertex must sit half a cycle away
     h = n // 2
-    dev = np.abs(V[(np.arange(n) + h) % n] + V)
+    dev = np.abs(V[h:] + V[:h])  # rows i and i + h pair both ways
     if dev.max() > 1e-12 * max(scale, 1.0):
         bad = int(np.argmax(dev.max(axis=1)))
         raise InvalidDiskError(
             "%s: vertex %d (%.17g, %.17g) has no antipode -v in the list"
             % (what, bad, V[bad, 0], V[bad, 1]))
 
-    edges = np.roll(V, -1, axis=0) - V
+    edges = _shift(V) - V
     elen = np.hypot(edges[:, 0], edges[:, 1])
     if elen.min() <= 1e-15 * scale:
         bad = int(np.argmin(elen))
         raise InvalidDiskError("%s: vertices %d and %d coincide" % (what, bad, (bad + 1) % n))
 
-    turn = _cross(edges, np.roll(edges, -1, axis=0))
+    turn = _cross(edges, _shift(edges))
     if turn.min() < -1e-12 * scale * scale:
         bad = int(np.argmin(turn))
         raise InvalidDiskError(
@@ -112,9 +120,9 @@ class UnitDisk:
         _validate_symmetric_polygon(V, what=kind)
         ang = np.arctan2(V[:, 1], V[:, 0])
         k = int(np.argmin(ang))
-        V = np.roll(V, -k, axis=0)
-        ang = np.roll(ang, -k)
-        if np.any(np.diff(ang) <= 0):
+        V = _shift(V, k)
+        ang = _shift(ang, k)
+        if (ang[1:] <= ang[:-1]).any():
             # cannot happen for a valid disk; guards fp pathologies
             raise InvalidDiskError("%s: vertex polar angles are not strictly increasing" % kind)
         V.flags.writeable = False
@@ -125,13 +133,13 @@ class UnitDisk:
         self.is_smooth = bool(is_smooth)
         self.lp_exponent = lp_exponent
 
-        edges = np.roll(V, -1, axis=0) - V
+        edges = _shift(V) - V
         c = _cross(edges, V)  # negative for every edge
         self._ang = ang
         self._edge = edges
         self._edge_c = c
         # gradient of the gauge on the cone over edge j: gauge(w) = dot(w, grad_j)
-        self._grad = np.stack([-edges[:, 1], edges[:, 0]], axis=1) / c[:, None]
+        self._grad = edges[:, ::-1] * _LEFT / c[:, None]
         self._slopes = None  # _gauge_slopes' callback, built on first use
 
     # -- constructors ------------------------------------------------------
@@ -177,8 +185,8 @@ class UnitDisk:
                 "radial: radii at angle %d and its antipode differ beyond 1e-12" % bad)
         half = r[:h, None] * np.stack([np.cos(a[:h]), np.sin(a[:h])], axis=1)
         V = np.concatenate([half, -half], axis=0)  # exactly symmetric
-        edges = np.roll(V, -1, axis=0) - V
-        turn = _cross(edges, np.roll(edges, -1, axis=0))
+        edges = _shift(V) - V
+        turn = _cross(edges, _shift(edges))
         strictly = bool(turn.min() > 1e-9 * float(np.abs(V).max()) ** 2)
         return cls(V, kind="radial", is_polygonal=False,
                    is_strictly_convex=strictly, is_smooth=strictly)
@@ -205,8 +213,8 @@ class UnitDisk:
         if np.max(np.abs(P[h:] + P[:h])) > 1e-9 * max(1.0, scale):
             raise InvalidDiskError("boundary samples: point set is not origin-symmetric")
         V = np.concatenate([P[:h], -P[:h]], axis=0)
-        edges = np.roll(V, -1, axis=0) - V
-        turn = _cross(edges, np.roll(edges, -1, axis=0))
+        edges = _shift(V) - V
+        turn = _cross(edges, _shift(edges))
         strictly = bool(turn.min() > 1e-9 * scale * scale)
         return cls(V, kind="radial", is_polygonal=False,
                    is_strictly_convex=strictly, is_smooth=strictly)
@@ -320,11 +328,11 @@ class ConvexBody:
         if not np.all(np.isfinite(P)):
             raise ValueError("ConvexBody: non-finite coordinates")
         scale = max(1.0, float(np.abs(P).max()))
-        E = np.roll(P, -1, axis=0) - P
+        E = _shift(P) - P
         if np.hypot(E[:, 0], E[:, 1]).min() <= 1e-12 * scale:
             raise ValueError("ConvexBody: repeated consecutive boundary points")
         ext2 = _extent(P) ** 2
-        turn = _cross(E, np.roll(E, -1, axis=0))
+        turn = _cross(E, _shift(E))
         if turn.min() < -1e-9 * ext2:
             bad = int(np.argmin(turn))
             raise GeometryError("ConvexBody: right turn at boundary point %d; "
@@ -613,7 +621,7 @@ def locate_on_boundary(vertices: np.ndarray, x,
     """
     x = as_vec(x)
     A = vertices
-    B = np.roll(vertices, -1, axis=0)
+    B = _shift(vertices)
     ab = B - A
     denom = np.einsum("ij,ij->i", ab, ab)
     denom = np.where(denom == 0, 1.0, denom)
@@ -633,7 +641,7 @@ def boundary_arclength(disk: UnitDisk, body, p, q) -> float:
     from p to q.  Both points must lie on the boundary (see
     locate_on_boundary).  Result is in [0, perimeter)."""
     V = _vertices_of(body)
-    e = np.roll(V, -1, axis=0) - V
+    e = _shift(V) - V
     eg = gauge_many(disk, e)
     cum = np.concatenate([[0.0], np.cumsum(eg)])
     perim = float(cum[-1])

@@ -6,7 +6,7 @@ from scipy.spatial import HalfspaceIntersection
 
 from mchords import UnitDisk, boundary_arclength, gauge, unit_vector
 from mchords.chordbound import (_SCAN, Hexagon, _arc, _corners, _family_disk,
-                                _lm_at, _min_lm, bounding_parallelogram,
+                                _family_rays, _lm_at, _min_lm, bounding_parallelogram,
                                 inscribed_hexagon, intersect_translates,
                                 lens_corners, lm, lm_sweep, maxmin_search,
                                 perimeter, reuleaux, reuleaux_two_sides)
@@ -508,7 +508,7 @@ def _polygons_and_family_disks():
     rng = np.random.default_rng(41)
     disks = [random_polygon_disk(rng) for _ in range(12)]
     disks += [random_polygon_disk(rng, 2) for _ in range(2)]
-    disks += [_family_disk(rng.normal(0.0, s, k), k)[0]
+    disks += [_family_disk(rng.normal(0.0, s, k), _family_rays(k))[0]
               for k in (3, 4, 5, 8, 12, 16, 24, 32, 48, 64) for s in (0.04, 0.3)]
     return disks
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,15 @@ def test_bisector_affine_equivariance():
     mapped = bisector_sample(sheared, (0, 0), (1, 0), (-0.8, 0.8), 7)
     assert np.allclose(mapped.samples.points,
                        orig.samples.points @ T.T, atol=1e-8)
+
+
+def test_bisector_refuses_a_non_finite_range():
+    e = UnitDisk.euclidean(512)
+    for y_range in ((math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"offset range \[.*\] is not finite"):
+                bisector_sample(e, (0, 0), (1, 0), y_range, 5)
 
 
 def test_bisector_rejects_polygonal():

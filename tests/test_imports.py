@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or
+scipy.spatial (the package builds its hulls itself).
 
 Checked with the standard library's ast, so no linter is needed: a name
 bound by an import counts as used when the module loads it anywhere
@@ -44,3 +45,25 @@ def test_finder_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set:
+    mods = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            mods |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            mods |= {node.module} | {node.module + "." + a.name for a in node.names}
+    return mods
+
+
+def test_finder_sees_scipy_spatial():
+    for src in ("import scipy.spatial\n", "from scipy import spatial\n",
+                "def f():\n    from scipy.spatial import ConvexHull\n"):
+        assert "scipy.spatial" in imported_modules(src)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_spatial(path):
+    mods = imported_modules(path.read_text(encoding="utf-8"))
+    assert not [m for m in mods if m == "scipy.spatial" or m.startswith("scipy.spatial.")]

@@ -181,6 +181,25 @@ def test_build_rejects_bad_input():
         cur.point_at(1.5)
 
 
+def test_build_refuses_an_unbounded_theta_range():
+    # the event ladder climbs one entry per base (and polygonal norm)
+    # vertex per turn, so a range it cannot finish is refused up front
+    eu, cbase = circle_pair(1024)
+    for lo, hi in ((0.0, math.inf), (0.0, math.nan), (-math.inf, 0.0),
+                   (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="not finite"):
+            build_involute(eu, cbase, (0.0, -1.0), lo, hi, 8)
+    for lo, hi in ((0.0, 1e300), (-1e300, 0.0), (1e17, 1e17 + 64.0)):
+        with pytest.raises(ValueError, match="events"):
+            build_involute(eu, cbase, (0.0, -1.0), lo, hi, 8)
+    # square base and square norm: 8 events per turn, 2**17 - 2 turns at most
+    sq, base = square_pair()
+    with pytest.raises(ValueError, match="events"):
+        build_involute(sq, base, (1.0, 0.0), 0.0, 2.0 * PI * (2 ** 17 - 1.9), 8)
+    cur = build_involute(sq, base, (1.0, 0.0), -2.0 * PI * 500, 2.0 * PI * 500, 64)
+    assert np.abs(cur.point_at(0.0) - [1.0, 0.0]).max() <= 1e-9
+
+
 def test_convex_body_validation():
     with pytest.raises(GeometryError):
         ConvexBody([[0, 0], [2, 0], [1, 1], [2, 2], [0, 2]], exact_polygon=True)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,20 @@ def test_non_finite_and_negative_inputs_exit_2(tmp_path, capsys):
         assert out.out == "" and out.err.startswith("error:"), argv
     assert main(calls[-1]) == 2
     assert "anchor row 1" in capsys.readouterr().err
+
+
+def test_unbounded_involute_and_bisector_ranges_exit_2(capsys):
+    # refused before any work: no numpy warning, and the error names the range
+    calls = [(["involute", "--base", "builtin:euclidean", "--point", "0,-1",
+               "--theta-max", t, "-n", "8"], "theta range") for t in ("inf", "1e300")]
+    calls += [(["bisector", "--a", "0,0", "--b", "1,0", "--range=" + r],
+               "offset range [%s, 1]" % r.split(",")[0]) for r in ("nan,1", "-inf,1")]
+    for argv, named in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:") and named in out.err, argv
 
 
 def test_cached_parser_is_reentrant(capsys):
