@@ -63,17 +63,31 @@ class Hexagon:
 
 @dataclass(frozen=True)
 class DiskFamilyParams:
-    """Search-space point: radii at k equally spaced angles over [0, pi),
-    mirrored to a centrally symmetric 2k-gon."""
-    k: int
-    radii: np.ndarray
+    """Search-space point: the k half-vertices of a mirrored 2k-gon, in
+    CCW order over half a turn, the rest being their negations.
+
+    radii and angles are the half-vertices' polar coordinates, the radii
+    scaled so that the largest is exactly 1.  maxmin_search builds the
+    half-vertices from k edge vectors (_family_params), so the disk is
+    convex by construction.
+    """
+    vertices: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def radii(self) -> np.ndarray:
+        r = np.hypot(self.vertices[:, 0], self.vertices[:, 1])
+        return r / r.max()
 
     @property
     def angles(self) -> np.ndarray:
-        return np.arange(self.k) * (math.pi / self.k)
+        return np.arctan2(self.vertices[:, 1], self.vertices[:, 0])
 
     def disk(self) -> UnitDisk:
-        return _family_ring(self.radii, _family_rays(self.k))
+        return UnitDisk.polygon(np.concatenate([self.vertices, -self.vertices]))
 
 
 @dataclass(frozen=True)
@@ -476,66 +490,39 @@ def bounding_parallelogram(disk: UnitDisk, p, q) -> np.ndarray:
 
 # -- the MaxMin search ----------------------------------------------------
 
-_OUTWARD = np.array([1.0, -1.0])  # E[:, ::-1] * _OUTWARD: (E1, -E0), outward of CCW E
-
-
-def _family_rays(k: int) -> np.ndarray:
-    """Unit vectors at the k family angles i pi / k, one row each."""
-    th = np.arange(k) * (math.pi / k)
-    return np.stack([np.cos(th), np.sin(th)], axis=1)
-
-
-def _family_ring(r: np.ndarray, U: np.ndarray) -> UnitDisk:
-    """The mirrored 2k-gon with vertices r_i U_i and their negations."""
-    half = r[:, None] * U
-    return UnitDisk.polygon(np.concatenate([half, -half], axis=0))
-
-
-def _repair_radii(r: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Retract radii onto the cone of convex mirrored 2k-gons: take the
-    convex hull of the radial vertex set and re-intersect it with the
-    rays U.  Identity on already-convex radii, always feasible.
-
-    The 2k points are in CCW angular order around the origin, which is
-    interior, and a point whose turn is <= 0 lies in the triangle of the
-    origin and its two neighbours, so it is not a hull vertex.  Dropping
-    every such point and repeating until none is left gives the hull.
+def _family_params(x: np.ndarray) -> DiskFamilyParams:
+    """The family point of x = (k log-gaps, k log-lengths), each clipped
+    to +-3.  The k edge vectors have lengths exp(x[k:]) and angles that
+    start at 0 and rise by the gaps exp(x[:k]), scaled to total pi, so
+    they increase strictly over a span below pi.  The half-ring starting
+    at -sum(E)/2 then ends where its negation starts, and the mirrored
+    ring, with edges E then -E, is convex: no repair is needed.
     """
-    pts = r[:, None] * U
-    H = np.concatenate([pts, -pts])
-    while True:
-        E = _shift(H) - H
-        left = _cross(_shift(E, -1), E) > 0.0
-        if left.all():
-            break
-        H = H[left]
-    N = E[:, ::-1] * _OUTWARD
-    c = np.einsum("ij,ij->i", N, H)
-    den = U @ N.T
-    hit = den > 1e-12  # the rays that cross each edge's line outward
-    return np.where(hit, c[None, :] / np.where(hit, den, 1.0), np.inf).min(axis=1)
-
-
-def _family_disk(x: np.ndarray, U: np.ndarray):
-    """The family disk of log-radii x on the rays U, and its parameters."""
-    r = np.exp(np.minimum(np.maximum(x, -1.5), 1.5))  # np.clip's result, at less cost
-    r = _repair_radii(r, U)
-    r = r / r.max()
-    return _family_ring(r, U), DiskFamilyParams(k=len(U), radii=r)
+    k = len(x) // 2
+    y = np.exp(np.minimum(np.maximum(x, -3.0), 3.0))  # np.clip's result, at less cost
+    g, L = y[:k], y[k:]
+    th = (np.cumsum(g) - g) * (math.pi / g.sum())
+    E = L[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+    H = np.cumsum(E, axis=0) - E - 0.5 * E.sum(axis=0)
+    return DiskFamilyParams(H / np.hypot(H[:, 0], H[:, 1]).max())
 
 
 def maxmin_search(k: int, budget: int, seed: int = 0,
                   sweep_n: int = 720) -> MaxMinResult:
     """Maximize min over directions of lm(disk, .) over mirrored 2k-gon
-    disks, by Nelder-Mead restarts over log-radii with projection onto
-    the convexity cone.
+    disks, by Nelder-Mead restarts over the 2k coordinates of
+    _family_params: k log-gaps between edge angles and k log-lengths.
 
     The objective is that minimum exactly, taken at the disk's k vertex
     directions (_min_lm).  sweep_n is still checked (at least 4) but no
-    longer affects the objective or the result.  budget caps the
-    objective evaluations spent inside the optimizer (budget 0 evaluates
-    only the starting disks).  Deterministic for a fixed seed; the
-    result is never worse than the regular-2k-gon start.
+    longer affects the objective or the result.  The regular 2k-gon and
+    three seeded perturbations of it are evaluated first; budget then
+    caps the evaluations spent inside the optimizer (budget 0 evaluates
+    only the starting disks), shared by the first
+    max(1, min(4, budget // (2k + 2))) starts so that each run gets at
+    least a full simplex when there is more than one.  Deterministic for
+    a fixed seed; the result is never worse than the regular start, and
+    its disk is the one the best evaluation scored.
     """
     if k < 3:
         raise ValueError("maxmin_search: need k >= 3")
@@ -544,28 +531,27 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
     if sweep_n < 4:
         raise ValueError("maxmin_search: need sweep_n >= 4")
     rng = np.random.default_rng(seed)
-    U = _family_rays(k)
-    starts = [np.zeros(k)] + [rng.normal(0.0, 0.12, size=k) for _ in range(3)]
-    state = {"best": -np.inf, "x": starts[0], "evals": 0}
+    d = 2 * k
+    starts = [np.zeros(d)] + [rng.normal(0.0, 0.12, size=d) for _ in range(3)]
+    state = {"best": -np.inf, "params": None, "disk": None, "evals": 0}
 
     def objective(x):
-        disk, _ = _family_disk(np.asarray(x, dtype=float), U)
+        params = _family_params(x)
+        disk = params.disk()
         val = _min_lm(disk)
         state["evals"] += 1
         if val > state["best"]:
-            state["best"] = val
-            state["x"] = np.array(x, dtype=float)
+            state.update(best=val, params=params, disk=disk)
         return val
 
     for x0 in starts:
         objective(x0)
     if budget > 0:
         from scipy.optimize import minimize
-        per_start = max(2, budget // len(starts))
-        for x0 in starts:
+        runs = max(1, min(len(starts), budget // (d + 2)))
+        for x0 in starts[:runs]:
             minimize(lambda x: -objective(x), x0, method="Nelder-Mead",
-                     options={"maxfev": per_start, "xatol": 1e-4,
+                     options={"maxfev": budget // runs, "xatol": 1e-4,
                               "fatol": 1e-7, "adaptive": True})
-    disk, params = _family_disk(state["x"], U)
-    return MaxMinResult(params=params, objective=float(state["best"]),
-                        evaluations=state["evals"], disk=disk)
+    return MaxMinResult(params=state["params"], objective=float(state["best"]),
+                        evaluations=state["evals"], disk=state["disk"])

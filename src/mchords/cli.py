@@ -276,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = new("maxmin", _cmd_maxmin,
             "search disks maximizing the minimal direction bound", disk=False)
     p.add_argument("-k", type=int, default=16,
-                   help="radial degrees of freedom of the disk family")
+                   help="edges per half of the mirrored 2k-gon")
     p.add_argument("--budget", type=int, default=60,
                    help="objective evaluations allowed")
     p.add_argument("--seed", type=int, default=0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, UnsupportedDiskError
-from .normplane import UnitDisk, as_vec, gauge, gauge_many, _gauge_slopes
+from .normplane import UnitDisk, as_vec, gauge, gauge_many, _gauge_slopes, _shift
 
 _BLOCK_ELEMS = 1 << 16  # pairs per row block of the chord kernel, at most
 _BLOCK_ROWS = 32  # rows per block, at most: a block discards B^2 / 2 pairs h <= l
@@ -63,7 +63,7 @@ class Polyline:
 
     def edges(self) -> np.ndarray:
         if self.closed:
-            return np.roll(self.points, -1, axis=0) - self.points
+            return _shift(self.points) - self.points
         return self.points[1:] - self.points[:-1]
 
     def __repr__(self):
@@ -351,6 +351,12 @@ def bisector_sample(disk: UnitDisk, a, b, y_range, n: int) -> BisectorSample:
     perp = np.array([-u[1], u[0]]) / math.hypot(*u)
     mid = 0.5 * (a + b)
     gu = gauge(disk, u)
+    # the brackets below start within K (gauge is homogeneous) and
+    # double up to 60 times, so K * 2**60 must stay finite
+    K = (max(abs(lo), abs(hi)) * gauge(disk, perp) + 2.0) / gu + 2.0
+    if not math.isfinite(K * 2.0 ** 60):
+        raise ValueError("bisector_sample: the offset range [%.17g, %.17g] is "
+                         "too wide: bracketing its roots would overflow" % (lo, hi))
     offsets = np.linspace(lo, hi, n)
     base = mid + offsets[:, None] * perp
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .normplane import (ConvexBody, UnitDisk, gauge, gauge_many, unit_vectors,
-                        locate_on_boundary, _wedge_of, TWO_PI)
+                        locate_on_boundary, _shift, _wedge_of, TWO_PI)
 from .curvekit import Polyline
 
 _MAX_EVENTS = 1 << 20  # ladder and norm events of one build_involute call
@@ -140,13 +140,13 @@ def build_involute(norm: UnitDisk, base: ConvexBody, p, theta_min: float,
                          "of %d events each, more than %d events"
                          % (theta_min, theta_max, turns, per_turn, _MAX_EVENTS))
     # i0: outgoing edge index (for a vertex anchor, the edge leaving it)
-    F = np.roll(W, -1, axis=0) - W
+    F = _shift(W) - W
     g = gauge_many(norm, F)
     beta = np.arctan2(F[:, 1], F[:, 0])
     phi0 = float(beta[i0])
     s_off = 0.0 if at_vertex else gauge(norm, p_snap - W[i0])
 
-    turn = np.mod(np.roll(beta, -1) - beta + math.pi, TWO_PI) - math.pi
+    turn = np.mod(_shift(beta) - beta + math.pi, TWO_PI) - math.pi
     if turn.min() < -1e-6:
         bad = int(np.argmin(turn))
         raise GeometryError("build_involute: base turns right at vertex %d"

@@ -5,8 +5,8 @@ import pytest
 from scipy.spatial import HalfspaceIntersection
 
 from mchords import UnitDisk, boundary_arclength, gauge, unit_vector
-from mchords.chordbound import (_SCAN, Hexagon, _arc, _corners, _family_disk,
-                                _family_rays, _lm_at, _min_lm, bounding_parallelogram,
+from mchords.chordbound import (_SCAN, Hexagon, _arc, _corners, _family_params,
+                                _lm_at, _min_lm, bounding_parallelogram,
                                 inscribed_hexagon, intersect_translates,
                                 lens_corners, lm, lm_sweep, maxmin_search,
                                 perimeter, reuleaux, reuleaux_two_sides)
@@ -484,7 +484,7 @@ def test_maxmin_budget_zero_is_euclidean_start():
 def test_maxmin_search_improves_and_repeats():
     r1 = maxmin_search(16, 10, seed=0, sweep_n=180)
     assert abs(r1.objective - 2.096458677) <= 1e-6
-    assert r1.evaluations == 12
+    assert r1.evaluations == 14
     assert TWO_THIRDS_PI - 2e-3 <= r1.objective <= 8.0 / 3.0 + 1e-6
     assert len(r1.params.radii) == 16
     assert float(r1.params.radii.max()) == 1.0
@@ -508,7 +508,7 @@ def _polygons_and_family_disks():
     rng = np.random.default_rng(41)
     disks = [random_polygon_disk(rng) for _ in range(12)]
     disks += [random_polygon_disk(rng, 2) for _ in range(2)]
-    disks += [_family_disk(rng.normal(0.0, s, k), _family_rays(k))[0]
+    disks += [_family_params(rng.normal(0.0, s, 2 * k)).disk()
               for k in (3, 4, 5, 8, 12, 16, 24, 32, 48, 64) for s in (0.04, 0.3)]
     return disks
 

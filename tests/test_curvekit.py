@@ -199,6 +199,17 @@ def test_bisector_refuses_a_non_finite_range():
                 bisector_sample(e, (0, 0), (1, 0), y_range, 5)
 
 
+def test_bisector_refuses_a_range_whose_brackets_overflow():
+    # refused before the bracket doubling could overflow: no numpy warning
+    e = UnitDisk.euclidean(512)
+    for y_range in ((1e300, 1.0), (-1e300, 1e300)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                bisector_sample(e, (0, 0), (1, 0), y_range, 5)
+        assert "offset range [%.17g, %.17g] is too wide" % y_range in str(err.value)
+
+
 def test_bisector_rejects_polygonal():
     with pytest.raises(UnsupportedDiskError):
         bisector_sample(UnitDisk.square(), (0, 0), (1, 0), (-1, 1), 3)

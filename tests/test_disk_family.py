@@ -1,77 +1,56 @@
 """The mirrored 2k-gon family that maxmin_search walks.
 
-The retraction onto convex radii is checked against a Qhull oracle, and
-maxmin_search is pinned bit for bit to results recorded in
-maxmin_pinned.json at commit d6b4a83, whose retraction was that oracle.
+A family point is built from k edge vectors whose angles rise over less
+than half a turn, so every point is a convex disk with no repair.  The
+half-cut square of min lm 13/6 is a family point, and maxmin_search is
+pinned bit for bit to results recorded in maxmin_pinned.json.
 """
 
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial import ConvexHull
 
-from mchords import DiskFamilyParams, UnitDisk
-from mchords.chordbound import _family_rays, _repair_radii, maxmin_search
+from mchords import DiskFamilyParams
+from mchords.chordbound import _family_params, _lm_at, _min_lm, maxmin_search
 
 PINNED = json.loads((Path(__file__).with_name("maxmin_pinned.json")).read_text())
 
 
-def qhull_retraction(r, U):
-    """Radii of the convex hull of the points +-r_i U_i on the rays U,
-    with the hull taken by Qhull and each ray cut by the nearest hull
-    edge it crosses."""
-    pts = r[:, None] * U
-    sym = np.concatenate([pts, -pts])
-    H = sym[ConvexHull(sym).vertices]  # CCW in 2-D
-    E = np.roll(H, -1, axis=0) - H
-    N = np.stack([E[:, 1], -E[:, 0]], axis=1)
-    c = np.einsum("ij,ij->i", N, H)
-    den = U @ N.T
-    with np.errstate(divide="ignore"):
-        cand = np.where(den > 1e-12, c[None, :] / np.where(den > 1e-12, den, 1.0),
-                        np.inf)
-    return cand.min(axis=1)
+def test_the_half_cut_square_is_a_family_point():
+    # equal gaps and lengths (1, 1/sqrt 2, 1, 1/sqrt 2): the square
+    # [-1, 1]^2 with each corner cut at 1/2, scaled to max radius 1
+    x = np.concatenate([np.zeros(4), np.log([1.0, 0.5 ** 0.5, 1.0, 0.5 ** 0.5])])
+    params = _family_params(x)
+    want = np.array([[-0.5, -1.0], [0.5, -1.0], [1.0, -0.5], [1.0, 0.5]]) / math.sqrt(1.25)
+    assert np.abs(params.vertices - want).max() <= 1e-15
+    # lm is 13/6 at all four vertex directions.  Measured before setting
+    # the bound: _min_lm returns the double nearest 13/6, 1/3 ulp from it;
+    # the bound allows one ulp per summed edge gauge of the octagon
+    ulp = math.ulp(13.0 / 6.0)
+    disk = params.disk()
+    assert abs(Fraction(_min_lm(disk)) - Fraction(13, 6)) <= 8 * ulp
+    for v in _lm_at(disk, disk.vertices[:4]):
+        assert abs(Fraction(float(v)) - Fraction(13, 6)) <= 8 * ulp
 
 
-def _draws(seed, per_cell):
-    """Radii exp(clip(N(0, sigma^2), +-1.5)) as the search makes them,
-    for every k from 3 to 64 and sigma from 0 to 1.5."""
-    rng = np.random.default_rng(seed)
+def test_family_disks_are_convex_by_construction():
+    # UnitDisk.polygon refuses a right turn, a repeated vertex or a ring
+    # that is not symmetric; no draw may need a repair
+    rng = np.random.default_rng(7)
     for k in range(3, 65):
-        U = _family_rays(k)
-        for sigma in np.linspace(0.0, 1.5, 7):
-            for _ in range(per_cell):
-                yield U, np.exp(np.clip(rng.normal(0.0, sigma, k), -1.5, 1.5))
-
-
-def test_retraction_matches_qhull():
-    # the same hull edges give the same bits; radii already on the hull
-    # put collinear points on it, which either side may keep or drop
-    for U, r in _draws(7, 3):
-        out = _repair_radii(r, U)
-        assert np.array_equal(out, qhull_retraction(r, U))
-        assert np.abs(_repair_radii(out, U) - qhull_retraction(out, U)).max() <= 1e-14
-
-
-def test_retraction_is_a_convex_idempotent_push_outward():
-    # a radius on the hull comes back within 8 eps (relative) of itself
-    eps = np.finfo(float).eps
-    for U, r in _draws(8, 2):
-        out = _repair_radii(r, U)
-        assert np.all(out >= r * (1.0 - 8 * eps))
-        assert np.abs(_repair_radii(out, U) - out).max() <= 1e-14
-        half = out[:, None] * U
-        UnitDisk.polygon(np.concatenate([half, -half]))
-
-
-def test_retraction_of_a_dented_hexagon():
-    # the middle ray of three is pushed out to the chord of its neighbours
-    U = _family_rays(3)
-    out = _repair_radii(np.array([1.0, 0.2, 1.0]), U)
-    assert out[0] == 1.0 and out[2] == 1.0
-    assert abs(out[1] - 0.5) <= 1e-15  # the chord from 1 at 0 to 1 at 2pi/3 crosses pi/3 at 1/2
+        for sigma in np.linspace(0.0, 10.0, 6):
+            for _ in range(3):
+                params = _family_params(rng.normal(0.0, sigma, 2 * k))
+                V = params.disk().vertices
+                assert np.array_equal(V[k:], -V[:k])
+                assert params.k == k
+                assert params.radii.max() == 1.0 and params.radii.min() > 0.0
+                a = params.angles
+                assert (np.diff(a) > 0.0).all() and a[-1] - a[0] < math.pi
 
 
 @pytest.mark.parametrize("case", PINNED, ids=lambda c: "k%d-b%d-s%d" % (
@@ -80,6 +59,9 @@ def test_maxmin_search_is_pinned(case):
     res = maxmin_search(case["k"], case["budget"], seed=case["seed"])
     assert res.objective == case["objective"]
     assert res.evaluations == case["evaluations"]
-    assert np.array_equal(res.params.radii, case["radii"])
-    disk = DiskFamilyParams(case["k"], np.array(case["radii"])).disk()
+    assert np.array_equal(res.params.vertices, case["vertices"])
+    # one construction path: the disk returned is the disk scored
+    assert res.objective == _min_lm(res.disk)
+    assert res.params.radii.max() == 1.0
+    disk = DiskFamilyParams(np.array(case["vertices"])).disk()
     assert np.array_equal(disk.vertices, res.disk.vertices)

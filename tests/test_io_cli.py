@@ -312,6 +312,8 @@ def test_unbounded_involute_and_bisector_ranges_exit_2(capsys):
                "--theta-max", t, "-n", "8"], "theta range") for t in ("inf", "1e300")]
     calls += [(["bisector", "--a", "0,0", "--b", "1,0", "--range=" + r],
                "offset range [%s, 1]" % r.split(",")[0]) for r in ("nan,1", "-inf,1")]
+    calls += [(["bisector", "--a", "0,0", "--b", "1,0", "--range=1e300,1"],
+               "offset range [1.0000000000000001e+300, 1] is too wide")]
     for argv, named in calls:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
