@@ -376,7 +376,10 @@ def bisector_sample(disk: UnitDisk, a, b, y_range, n: int) -> BisectorSample:
         slo[rows] *= 2.0
         shi[rows] *= 2.0
     else:
-        raise GeometryError("bisector_sample: failed to bracket the root")
+        raise GeometryError(
+            "bisector_sample: failed to bracket the root on the line at offset "
+            "%.17g of the offset range [%.17g, %.17g]: at that offset "
+            "gauge(x - a) - gauge(x - b) rounds away" % (offsets[rows[0]], lo, hi))
     # bisection to 1e-10 in the line parameter
     rows = np.flatnonzero(shi - slo > 1e-10 / gu)
     while len(rows):

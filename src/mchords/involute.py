@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .normplane import (ConvexBody, UnitDisk, gauge, gauge_many, unit_vectors,
-                        locate_on_boundary, _shift, _wedge_of, TWO_PI)
+                        locate_on_boundary, _on_vertex_ray, _shift, _wedge_of, TWO_PI)
 from .curvekit import Polyline
 
 _MAX_EVENTS = 1 << 20  # ladder and norm events of one build_involute call
@@ -73,16 +73,21 @@ class InvoluteCurve:
         if np.any(th < self.theta_min - 1e-9) or np.any(th > self.theta_max + 1e-9):
             raise ValueError("point_at: theta outside the built range "
                              "[%g, %g]" % (self.theta_min, self.theta_max))
-        alpha = np.atleast_1d(th + self.rotation)
-        k = np.searchsorted(self._A, alpha, side="right") - 1
-        np.clip(k, 0, len(self._A) - 1, out=k)
-        u = unit_vectors(self.norm, alpha)
-        pts = self._V[k] - self._D[k, None] * u
+        pts = _unroll(self.norm, self._A, self._D, self._V,
+                      np.atleast_1d(th + self.rotation))
         return pts[0] if th.ndim == 0 else pts
 
     def __repr__(self):
         return "InvoluteCurve(n=%d, branch=%s, theta in [%g, %g])" % (
             len(self.points), self.branch, self.theta_min, self.theta_max)
+
+
+def _unroll(norm, A, D, P, alpha):
+    """Involute points at absolute tangent angles alpha: P[k] - D[k] u(alpha),
+    k the ladder entry whose edge holds the thread there."""
+    k = np.searchsorted(A, alpha, side="right") - 1
+    np.clip(k, 0, len(A) - 1, out=k)
+    return P[k] - D[k, None] * unit_vectors(norm, alpha)
 
 
 def _snap_to_boundary(base: ConvexBody, p):
@@ -109,12 +114,12 @@ def build_involute(norm: UnitDisk, base: ConvexBody, p, theta_min: float,
 
     The unrolling holds one event per base vertex (and per norm vertex,
     for a polygonal norm) per turn between theta = 0 and the far end of
-    the range.  A range needing more than 2**20 of them, counted as
-    (turns + 2) * (events per turn) with turns = (max(theta_max, 0) -
-    min(theta_min, 0)) / (2 pi), raises ValueError, as does a non-finite
-    theta.  Under that bound |theta| < 2**20 * pi, far below where adding
-    the base's largest turn (at least 2 pi / m for m vertices) would no
-    longer move the angle.
+    the range, and takes time linear in them on either side of theta = 0.
+    A range needing more than 2**20 of them, counted as (turns + 2) *
+    (events per turn) with turns = (max(theta_max, 0) - min(theta_min, 0))
+    / (2 pi), raises ValueError, as does a non-finite theta.  Under that
+    bound |theta| < 2**20 * pi, far below where adding the base's largest
+    turn (at least 2 pi / m for m vertices) would no longer move the angle.
     """
     if n < 2:
         raise ValueError("build_involute: need n >= 2 samples")
@@ -162,52 +167,39 @@ def build_involute(norm: UnitDisk, base: ConvexBody, p, theta_min: float,
         rot = phi0
     lo_a = rot + theta_min
     hi_a = rot + theta_max
-    # event ladder: A[j] = unwrapped tangent angle of edge e(k),
-    # D[j] = signed arc from p to that edge's end vertex, V[j] = the vertex
-    A = [phi0]
-    D = [float(g[i0]) - s_off]
-    V = [(i0 + 1) % m]
-    k = 0
-    while A[-1] <= hi_a + 1e-9:
-        A.append(A[-1] + float(turn[(i0 + k) % m]))
-        k += 1
-        D.append(D[-1] + float(g[(i0 + k) % m]))
-        V.append((i0 + k + 1) % m)
-    k = 0
-    while A[0] >= lo_a - 1e-9:
-        A.insert(0, A[0] - float(turn[(i0 + k - 1) % m]))
-        D.insert(0, D[0] - float(g[(i0 + k) % m]))
-        V.insert(0, (i0 + k) % m)
-        k -= 1
-    A = np.array(A)
-    D = np.array(D)
-    V = np.array(V, dtype=int)
+    # event ladder: A[j] = unwrapped tangent angle of edge e(k), D[j] =
+    # signed arc from p to that edge's end vertex, V[j] = the vertex.  Each
+    # side is one cumsum (which adds in order, as a step-by-step walk does)
+    # over the whole turns to its end of the range and two spare, cut just
+    # past that end.  Rows: A, D.
+    D0 = float(g[i0]) - s_off
+    nf, nb = (m * (max(0, math.ceil(x / float(turn.sum()))) + 2)
+              for x in (hi_a - phi0, phi0 - lo_a))
+    ef = (i0 + np.arange(nf)) % m
+    eb = (i0 - 1 - np.arange(nb)) % m
+    Lf = np.cumsum([np.r_[phi0, turn[ef]], np.r_[D0, g[(ef + 1) % m]]], axis=1)
+    Lb = np.cumsum([np.r_[phi0, -turn[eb]], np.r_[D0, -g[(eb + 1) % m]]], axis=1)
+    f = int(np.argmax(Lf[0] > hi_a + 1e-9))
+    b = int(np.argmax(Lb[0] < lo_a - 1e-9))
+    A, D = np.concatenate((Lb[:, b:0:-1], Lf[:, :f + 1]), axis=1)
+    V = (i0 + 1 + np.arange(-b, f + 1)) % m
+    P = W[V]
 
     thetas = np.linspace(theta_min, theta_max, n)
-    ev_list = []
-    if base.exact_polygon:
-        ev_list.append(A - rot)
+    ev = A - rot if base.exact_polygon else np.empty(0)
     if norm.is_polygonal:
         # the curve also kinks where u(alpha) crosses a norm vertex
-        av = norm._ang
-        lo_k = np.ceil((lo_a - av) / TWO_PI).astype(int)
-        hi_k = np.floor((hi_a - av) / TWO_PI).astype(int)
-        wraps = [av[i] + TWO_PI * w for i in range(len(av))
-                 for w in range(lo_k[i], hi_k[i] + 1)]
-        if wraps:
-            ev_list.append(np.array(wraps) - rot)
-    if ev_list:
-        ev = np.concatenate(ev_list)
+        av = norm._ang[:, None]
+        lo_k = np.ceil((lo_a - av) / TWO_PI)
+        hi_k = np.floor((hi_a - av) / TWO_PI)
+        w = np.arange(lo_k.min(), hi_k.max() + 1)
+        ev = np.concatenate((ev, (av + TWO_PI * w)[(lo_k <= w) & (w <= hi_k)] - rot))
+    if len(ev):
         ev = ev[(ev > theta_min + 1e-12) & (ev < theta_max - 1e-12)]
         thetas = np.unique(np.concatenate([thetas, ev]))
         keep = np.concatenate([[True], np.diff(thetas) > 1e-12])
         thetas = thetas[keep]
-
-    alpha = thetas + rot
-    kk = np.searchsorted(A, alpha, side="right") - 1
-    np.clip(kk, 0, len(A) - 1, out=kk)
-    U = unit_vectors(norm, alpha)
-    pts = W[V[kk]] - D[kk, None] * U
+    pts = _unroll(norm, A, D, P, thetas + rot)
 
     # tangency-independence at events: evaluating from either end vertex of
     # the event edge must agree
@@ -217,8 +209,8 @@ def build_involute(norm: UnitDisk, base: ConvexBody, p, theta_min: float,
     j = j[j >= 1]
     if len(j):
         Ue = unit_vectors(norm, A[j])
-        left = W[V[j - 1]] - D[j - 1, None] * Ue
-        right = W[V[j]] - D[j, None] * Ue
+        left = P[j - 1] - D[j - 1, None] * Ue
+        right = P[j] - D[j, None] * Ue
         dev = float(np.abs(left - right).max())
         if dev > 1e-9 * scale:
             raise GeometryError("build_involute: tangency independence "
@@ -242,7 +234,7 @@ def build_involute(norm: UnitDisk, base: ConvexBody, p, theta_min: float,
     return InvoluteCurve(base=base, norm=norm, p=p_snap, thetas=thetas,
                          points=Polyline(pts), branch=branch, rotation=rot,
                          theta_min=theta_min, theta_max=theta_max,
-                         ladder=(A, D, W[V]))
+                         ladder=(A, D, P))
 
 
 def involute_support_direction(curve: InvoluteCurve, theta: float) -> InvoluteSupport:
@@ -263,16 +255,14 @@ def involute_support_direction(curve: InvoluteCurve, theta: float) -> InvoluteSu
                          % (theta, curve.theta_min, curve.theta_max))
     norm = curve.norm
     alpha = theta + curve.rotation
-    x = np.array([math.cos(alpha), math.sin(alpha)])
-    x = x / gauge(norm, x)
+    x, y = math.cos(alpha), math.sin(alpha)
     point = curve.point_at(theta)
     Vd = norm.vertices
     md = len(Vd)
-    j = int(_wedge_of(norm, *x[:, None])[0][0])
+    j = int(_wedge_of(norm, np.array([x]), np.array([y]))[0][0])
     if norm.is_polygonal:
-        tol = 1e-9 * norm.diameter
         for cand in (j, (j + 1) % md):
-            if math.hypot(*(x - Vd[cand])) <= tol:
+            if _on_vertex_ray(Vd, cand, x, y):
                 e_in = Vd[cand] - Vd[(cand - 1) % md]
                 e_out = Vd[(cand + 1) % md] - Vd[cand]
                 d_in = e_in / math.hypot(*e_in)

@@ -453,6 +453,13 @@ def _gauge_slopes(disk: UnitDisk) -> "_Slopes":
     return disk._slopes
 
 
+def _on_vertex_ray(V, i, x, y):
+    """The one corner rule: (x, y) is on the ray through vertex i of V (taken
+    cyclically) when |cross(V_i, (x, y))| <= 1e-12 |V_i| |(x, y)|."""
+    vx, vy = V.take(i, axis=0, mode="wrap").T
+    return np.abs(vx * y - vy * x) <= 1e-12 * np.hypot(x, y) * np.hypot(vx, vy)
+
+
 class _Slopes:
     """_gauge_slopes' callback with the tables of one disk."""
 
@@ -503,12 +510,7 @@ class _Slopes:
                             | (self.ang_next.take(j) - r < _RAY_SCREEN))
         if at.size:
             xs, ys, j0 = x.take(at), y.take(at), j.take(at)
-            j1 = j0 + 1
-            tiny = 1e-12 * np.hypot(xs, ys)
-            on = []
-            for i in (j0, j1):
-                vx, vy = self.V.take(i, axis=0, mode="wrap").T
-                on.append(np.abs(vx * ys - vy * xs) <= tiny * np.hypot(vx, vy))
+            on = [_on_vertex_ray(self.V, i, xs, ys) for i in (j0, j0 + 1)]
             nbs = (j0 - on[0], j0 + on[1])
             ix = np.unravel_index(at, g.shape)
             for s, E in zip(S, (Ef, Er)):

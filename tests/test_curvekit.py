@@ -210,6 +210,17 @@ def test_bisector_refuses_a_range_whose_brackets_overflow():
         assert "offset range [%.17g, %.17g] is too wide" % y_range in str(err.value)
 
 
+def test_bisector_names_the_line_it_cannot_bracket():
+    # at offset 1e20 gauge(x - a) - gauge(x - b) rounds away, so no bracket
+    # holds the root; the error names that line's offset, its range and why
+    e = UnitDisk.euclidean(512)
+    with pytest.raises(GeometryError) as err:
+        bisector_sample(e, (0, 0), (1, 0), (1e20, 1.0), 3)
+    assert ("failed to bracket the root on the line at offset 1e+20 of the offset "
+            "range [1e+20, 1]: at that offset gauge(x - a) - gauge(x - b) rounds "
+            "away") in str(err.value)
+
+
 def test_bisector_rejects_polygonal():
     with pytest.raises(UnsupportedDiskError):
         bisector_sample(UnitDisk.square(), (0, 0), (1, 0), (-1, 1), 3)

@@ -7,9 +7,10 @@ from scipy.spatial import cKDTree
 from mchords import UnitDisk, gauge, is_birkhoff_orthogonal, unit_vector
 from mchords.curvekit import check_increasing_chords, check_increasing_wrt_set
 from mchords.errors import GeometryError
-from mchords.involute import (ConvexBody, build_involute,
+from mchords.involute import (ConvexBody, _snap_to_boundary, build_involute,
                               involute_support_direction)
-from mchords.verify import random_base_body, random_smooth_disk
+from mchords.normplane import _shift, gauge_many, unit_vectors
+from mchords.verify import random_base_body, random_polygon_disk, random_smooth_disk
 
 import oracles
 
@@ -146,6 +147,20 @@ def test_support_direction_square_norm_cone():
     assert np.allclose(s2.direction, (-1.0, 0.0), atol=1e-12)
 
 
+def test_support_direction_is_unique_just_off_a_norm_vertex():
+    # the corner rule is the chord kernel's ray test: only a direction on
+    # the ray through a norm vertex (to 1e-12 relative) gets the bisector;
+    # 1e-10 to either side lies inside an edge, whose direction is unique
+    sq, base = square_pair()
+    cur = build_involute(sq, base, (1.0, 0.0), -0.5 * PI, 1.25 * PI, 256)
+    r = 1.0 / math.sqrt(2.0)
+    for t, unique, w in ((0.0, False, (-r, r)), (1e-10, True, (-1.0, 0.0)),
+                         (-1e-10, True, (0.0, 1.0))):
+        s = involute_support_direction(cur, t)
+        assert s.unique is unique
+        assert np.allclose(s.direction, w, atol=1e-12)
+
+
 def test_support_direction_lp4_birkhoff():
     lp4 = UnitDisk.lp(4.0, 4096)
     _, cbase = circle_pair(4096)
@@ -198,6 +213,84 @@ def test_build_refuses_an_unbounded_theta_range():
         build_involute(sq, base, (1.0, 0.0), 0.0, 2.0 * PI * (2 ** 17 - 1.9), 8)
     cur = build_involute(sq, base, (1.0, 0.0), -2.0 * PI * 500, 2.0 * PI * 500, 64)
     assert np.abs(cur.point_at(0.0) - [1.0, 0.0]).max() <= 1e-9
+
+
+def _involute_by_loops(norm, base, p, theta_min, theta_max, n):
+    # the step-by-step reference: the ladder walked one edge at a time out
+    # from the anchor, norm events listed wrap by wrap
+    W = base.vertices
+    m = len(W)
+    i0, p_snap, at_vertex = _snap_to_boundary(base, p)
+    F = _shift(W) - W
+    g = gauge_many(norm, F)
+    beta = np.arctan2(F[:, 1], F[:, 0])
+    turn = np.maximum(np.mod(_shift(beta) - beta + PI, 2.0 * PI) - PI, 0.0)
+    phi0 = float(beta[i0])
+    rot = phi0 - 0.5 * float(turn[(i0 - 1) % m]) if at_vertex else phi0
+    lo_a, hi_a = rot + theta_min, rot + theta_max
+    A = [phi0]
+    D = [float(g[i0]) - (0.0 if at_vertex else gauge(norm, p_snap - W[i0]))]
+    V = [(i0 + 1) % m]
+    k = 0
+    while A[-1] <= hi_a + 1e-9:
+        A.append(A[-1] + float(turn[(i0 + k) % m]))
+        k += 1
+        D.append(D[-1] + float(g[(i0 + k) % m]))
+        V.append((i0 + k + 1) % m)
+    k = 0
+    while A[0] >= lo_a - 1e-9:
+        A.insert(0, A[0] - float(turn[(i0 + k - 1) % m]))
+        D.insert(0, D[0] - float(g[(i0 + k) % m]))
+        V.insert(0, (i0 + k) % m)
+        k -= 1
+    A, D, P = np.array(A), np.array(D), W[V]
+    ev = list(A - rot) if base.exact_polygon else []
+    if norm.is_polygonal:
+        for a in norm._ang:
+            lo_k = int(np.ceil((lo_a - a) / (2.0 * PI)))
+            hi_k = int(np.floor((hi_a - a) / (2.0 * PI)))
+            ev += [a + 2.0 * PI * w - rot for w in range(lo_k, hi_k + 1)]
+    thetas = np.linspace(theta_min, theta_max, n)
+    if ev:
+        ev = np.array(ev)
+        ev = ev[(ev > theta_min + 1e-12) & (ev < theta_max - 1e-12)]
+        thetas = np.unique(np.concatenate([thetas, ev]))
+        thetas = thetas[np.concatenate([[True], np.diff(thetas) > 1e-12])]
+
+    def unroll(alpha):
+        k = np.clip(np.searchsorted(A, alpha, side="right") - 1, 0, len(A) - 1)
+        return P[k] - D[k, None] * unit_vectors(norm, alpha)
+
+    pts = unroll(thetas + rot)
+    scale = max(1.0, base.diameter, float(np.abs(D).max()))
+    keep = np.concatenate([[True], np.hypot(*(pts[1:] - pts[:-1]).T) > 1e-12 * scale])
+    return (A, D, P), thetas[keep], pts[keep], lambda t: unroll(np.asarray(t) + rot)
+
+
+def test_ladder_matches_step_by_step_reference():
+    # the cumsum ladder adds in the walk's order, so every float agrees
+    rng = np.random.default_rng(1804)
+    collinear = ConvexBody([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]], exact_polygon=True)
+    cases = [(UnitDisk.square(), collinear, (0.5, 0.0), -7.0, 12.0),
+             (UnitDisk.euclidean(256), collinear, (1.0, 0.0), -30.0, -2.0),
+             # both ends exactly two turns from the anchor's edge angle
+             square_pair() + ((1.0, 0.0), 0.25 * PI - 4.0 * PI, 0.25 * PI + 4.0 * PI)]
+    for i in range(48):
+        norm = (random_polygon_disk(rng) if i % 4 == 0 else UnitDisk.regular_hexagon()
+                if i % 4 == 1 else random_smooth_disk(rng, 256))
+        base = random_base_body(rng, exact=i % 2 == 0)
+        W = base.vertices
+        j = int(rng.integers(len(W)))
+        p = W[j] if base.exact_polygon else W[j] + rng.uniform() * (W[(j + 1) % len(W)] - W[j])
+        a, b = np.sort(rng.uniform(0.0, 30.0, 2))
+        cases.append((norm, base, p) + ((a, b), (-b, -a), (-a, b))[i % 3])
+    for norm, base, p, lo, hi in cases:
+        cu = build_involute(norm, base, p, lo, hi, 97)
+        (A, D, P), thetas, pts, point_at = _involute_by_loops(norm, base, p, lo, hi, 97)
+        q = rng.uniform(lo, hi, 16)
+        for got, ref in ((cu._A, A), (cu._D, D), (cu._V, P), (cu.thetas, thetas),
+                         (cu.points.points, pts), (cu.point_at(q), point_at(q))):
+            assert np.array_equal(got, ref), (norm, base, lo, hi)
 
 
 def test_convex_body_validation():
