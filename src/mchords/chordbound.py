@@ -92,15 +92,11 @@ class DiskFamilyParams:
 
 @dataclass(frozen=True)
 class MaxMinResult:
-    """Best disk found by maxmin_search; iterates as (params, objective)."""
+    """Best disk found by maxmin_search."""
     params: DiskFamilyParams
     objective: float
     evaluations: int
     disk: UnitDisk
-
-    def __iter__(self):
-        yield self.params
-        yield self.objective
 
     def __repr__(self):
         return "MaxMinResult(k=%d, objective=%.6f, evaluations=%d)" % (

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, UnsupportedDiskError
-from .normplane import UnitDisk, as_vec, gauge, gauge_many, _gauge_slopes, _shift
+from .normplane import UnitDisk, as_vec, gauge, gauge_many, _gauge_slopes
 
 _BLOCK_ELEMS = 1 << 16  # pairs per row block of the chord kernel, at most
 _BLOCK_ROWS = 32  # rows per block, at most: a block discards B^2 / 2 pairs h <= l
@@ -29,15 +29,14 @@ _MAX_WITNESSES = 16
 
 
 class Polyline:
-    """Ordered point sequence; the curve representation used throughout.
+    """Open ordered point sequence; the curve representation used throughout.
 
-    points is an (n, 2) read-only float array.  A closed polyline has an
-    implicit last-to-first edge.
+    points is an (n, 2) read-only float array.
     """
 
-    __slots__ = ("points", "closed")
+    __slots__ = ("points",)
 
-    def __init__(self, points, closed: bool = False):
+    def __init__(self, points):
         P = np.array(points, dtype=float)
         if P.ndim != 2 or P.shape[1] != 2 or len(P) < 1:
             raise ValueError("Polyline: need an (n, 2) array with n >= 1")
@@ -49,25 +48,17 @@ class Polyline:
             if steps.min() <= 1e-12 * scale:
                 k = int(np.argmin(steps))
                 raise ValueError("Polyline: points %d and %d coincide" % (k, k + 1))
-        if closed:
-            if len(P) < 3:
-                raise ValueError("Polyline: a closed curve needs >= 3 points")
-            if math.hypot(*(P[0] - P[-1])) <= 1e-12 * scale:
-                raise ValueError("Polyline: closed curve repeats its first point last")
         P.flags.writeable = False
         self.points = P
-        self.closed = bool(closed)
 
     def __len__(self):
         return len(self.points)
 
     def edges(self) -> np.ndarray:
-        if self.closed:
-            return _shift(self.points) - self.points
         return self.points[1:] - self.points[:-1]
 
     def __repr__(self):
-        return "Polyline(n=%d, closed=%s)" % (len(self.points), self.closed)
+        return "Polyline(n=%d)" % len(self.points)
 
 
 @dataclass(frozen=True)
@@ -262,8 +253,6 @@ def check_increasing_chords(disk: UnitDisk, curve: Polyline,
     disks (default tol 1e-9) and tolerance for sampled ones, whose polygon
     approximates the body (default tol 1e-6).
     """
-    if curve.closed:
-        raise ValueError("check_increasing_chords: curve must be open")
     if len(curve) < 2:
         raise ValueError("check_increasing_chords: need at least 2 points")
     tol = _default_tol(disk, tol)
@@ -277,8 +266,6 @@ def check_increasing_wrt_set(disk: UnitDisk, curve: Polyline, anchors,
                              tol: float | None = None) -> ChordReport:
     """Verdict for: for every anchor p, gauge(f(t) - p) is nondecreasing
     in t along the whole curve."""
-    if curve.closed:
-        raise ValueError("check_increasing_wrt_set: curve must be open")
     if len(curve) < 2:
         raise ValueError("check_increasing_wrt_set: need at least 2 points")
     A = np.asarray(anchors, dtype=float)
@@ -411,9 +398,8 @@ def convexify(curve: Polyline) -> Polyline:
     every norm is unchanged.  Already-sorted curves are returned as an
     identical copy.
     """
-    if curve.closed or not is_x_monotone(curve):
-        raise GeometryError("convexify: curve must be open and strictly "
-                            "x-monotone")
+    if not is_x_monotone(curve):
+        raise GeometryError("convexify: curve must be strictly x-monotone")
     P = curve.points
     E = P[1:] - P[:-1]
     ang = np.arctan2(E[:, 1], E[:, 0])

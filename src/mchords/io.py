@@ -43,14 +43,12 @@ def disk_to_json(disk: UnitDisk) -> str:
     return '{"kind": "polygon", "vertices": [%s]}' % verts
 
 
-def curve_csv(points: np.ndarray, header=None) -> str:
-    """CSV text for an (n, d) vertex array; header defaults to x,y or
+def curve_csv(points: np.ndarray) -> str:
+    """CSV text for an (n, d) vertex array, under the header x,y or
     x1..xd depending on the dimension."""
     P = np.asarray(points, dtype=float)
     d = P.shape[1]
-    if header is None:
-        header = "x,y" if d == 2 else ",".join("x%d" % (i + 1) for i in range(d))
-    rows = [header]
+    rows = ["x,y" if d == 2 else ",".join("x%d" % (i + 1) for i in range(d))]
     for row in P:
         rows.append(",".join(_F % v for v in row))
     return "\n".join(rows) + "\n"

@@ -27,10 +27,6 @@ _RAY_SCREEN = 2e-12  # angle from a cone's boundary ray that gets the ray test
 Vec2 = np.ndarray
 
 
-def vec(x: float, y: float) -> Vec2:
-    return np.array([float(x), float(y)])
-
-
 def as_vec(v) -> Vec2:
     a = np.asarray(v, dtype=float).reshape(-1)
     if a.shape != (2,):
@@ -105,17 +101,19 @@ class UnitDisk:
     ----------
     vertices : (n, 2) array, read-only, CCW, rolled so polar angles ascend
     kind : "polygon" | "radial" | "euclidean" | "lp"
-    is_polygonal : True when the polygon is the exact body (not a sampling)
-    is_strictly_convex, is_smooth : properties of the represented body
+    is_polygonal : kind == "polygon": the polygon is the exact body, not a
+        sampling of one
+    is_strictly_convex : the represented body is strictly convex.  False
+        for polygons; True for euclidean and for lp with p > 1.  A radial
+        or boundary-sampled disk counts as a sampling of a strictly convex
+        body unless some consecutive samples are collinear to rounding (see
+        _mirrored); a flat side drawn as one long edge is not seen.
     """
 
     __slots__ = ("vertices", "kind", "is_polygonal", "is_strictly_convex",
-                 "is_smooth", "lp_exponent", "_ang", "_edge", "_edge_c", "_grad",
-                 "_slopes")
+                 "_ang", "_edge", "_edge_c", "_grad", "_slopes")
 
-    def __init__(self, vertices, *, kind: str, is_polygonal: bool,
-                 is_strictly_convex: bool, is_smooth: bool,
-                 lp_exponent: float | None = None):
+    def __init__(self, vertices, *, kind: str, is_strictly_convex: bool = False):
         V = np.array(vertices, dtype=float)
         _validate_symmetric_polygon(V, what=kind)
         ang = np.arctan2(V[:, 1], V[:, 0])
@@ -128,10 +126,8 @@ class UnitDisk:
         V.flags.writeable = False
         self.vertices = V
         self.kind = kind
-        self.is_polygonal = bool(is_polygonal)
+        self.is_polygonal = kind == "polygon"
         self.is_strictly_convex = bool(is_strictly_convex)
-        self.is_smooth = bool(is_smooth)
-        self.lp_exponent = lp_exponent
 
         edges = _shift(V) - V
         c = _cross(edges, V)  # negative for every edge
@@ -145,17 +141,34 @@ class UnitDisk:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _mirrored(cls, half, kind: str, strictly: bool | None = None) -> "UnitDisk":
+        """Disk on the ring [half, -half], exactly symmetric.  strictly is
+        the flag is_strictly_convex; when None, the ring is taken for a
+        sampling of a strictly convex body unless some consecutive samples
+        are collinear to rounding: every turn cross(e_i, e_i+1) must exceed
+        64 eps scale (|e_i| + |e_i+1|), scale the largest coordinate.
+        Rounding of exactly collinear samples reaches 2.3 of those units
+        (polygons sampled radially at 1024 to 65536 points); a circle of
+        262144 samples turns by 1.3e6 of them."""
+        V = np.concatenate([half, -half])
+        if strictly is None:
+            E = _shift(V) - V
+            L = np.hypot(E[:, 0], E[:, 1])
+            tol = 64 * np.finfo(float).eps * float(np.abs(V).max()) * (L + _shift(L))
+            strictly = bool((_cross(E, _shift(E)) > tol).all())
+        return cls(V, kind=kind, is_strictly_convex=strictly)
+
+    @classmethod
     def polygon(cls, vertices) -> "UnitDisk":
-        return cls(vertices, kind="polygon", is_polygonal=True,
-                   is_strictly_convex=False, is_smooth=False)
+        return cls(vertices, kind="polygon")
 
     @classmethod
     def radial(cls, angles, radii, degrees: bool = False) -> "UnitDisk":
         """Disk from boundary samples (angle, radius).
 
         The samples are chord-interpolated; the pair at angle + pi must be
-        present with the same radius.  Treated as a sampling of a smooth
-        body unless consecutive samples are collinear.
+        present with the same radius.  Treated as a sampling of a strictly
+        convex body unless consecutive samples are collinear (_mirrored).
         """
         a = np.asarray(angles, dtype=float)
         r = np.asarray(radii, dtype=float)
@@ -184,12 +197,7 @@ class UnitDisk:
             raise InvalidDiskError(
                 "radial: radii at angle %d and its antipode differ beyond 1e-12" % bad)
         half = r[:h, None] * np.stack([np.cos(a[:h]), np.sin(a[:h])], axis=1)
-        V = np.concatenate([half, -half], axis=0)  # exactly symmetric
-        edges = _shift(V) - V
-        turn = _cross(edges, _shift(edges))
-        strictly = bool(turn.min() > 1e-9 * float(np.abs(V).max()) ** 2)
-        return cls(V, kind="radial", is_polygonal=False,
-                   is_strictly_convex=strictly, is_smooth=strictly)
+        return cls._mirrored(half, "radial")
 
     @classmethod
     def from_boundary_samples(cls, points) -> "UnitDisk":
@@ -197,6 +205,7 @@ class UnitDisk:
 
         Points are sorted by polar angle; the set must be symmetric under
         negation within 1e-9 of its scale, and is snapped exactly symmetric.
+        Strict convexity is decided as for radial (_mirrored).
         """
         P = np.asarray(points, dtype=float)
         if P.ndim != 2 or P.shape[1] != 2 or len(P) < 4:
@@ -204,26 +213,17 @@ class UnitDisk:
         ang = np.mod(np.arctan2(P[:, 1], P[:, 0]), TWO_PI)
         order = np.argsort(ang, kind="stable")
         P = P[order]
-        ang = ang[order]
         n = len(P)
         if n % 2 != 0:
             raise InvalidDiskError("boundary samples: even count required for symmetry")
         h = n // 2
-        scale = float(np.abs(P).max())
-        if np.max(np.abs(P[h:] + P[:h])) > 1e-9 * max(1.0, scale):
+        if np.max(np.abs(P[h:] + P[:h])) > 1e-9 * max(1.0, float(np.abs(P).max())):
             raise InvalidDiskError("boundary samples: point set is not origin-symmetric")
-        V = np.concatenate([P[:h], -P[:h]], axis=0)
-        edges = _shift(V) - V
-        turn = _cross(edges, _shift(edges))
-        strictly = bool(turn.min() > 1e-9 * scale * scale)
-        return cls(V, kind="radial", is_polygonal=False,
-                   is_strictly_convex=strictly, is_smooth=strictly)
+        return cls._mirrored(P[:h], "radial")
 
     @classmethod
     def euclidean(cls, n: int = DEFAULT_RESOLUTION) -> "UnitDisk":
-        half = _half_circle(n)
-        return cls(np.concatenate([half, -half]), kind="euclidean",
-                   is_polygonal=False, is_strictly_convex=True, is_smooth=True)
+        return cls._mirrored(_half_circle(n), "euclidean", True)
 
     @classmethod
     def lp(cls, p: float, n: int = DEFAULT_RESOLUTION) -> "UnitDisk":
@@ -232,10 +232,9 @@ class UnitDisk:
             raise InvalidDiskError("lp: exponent must be a finite real >= 1, got %r" % p)
         half = _half_circle(n)
         norms = (np.abs(half[:, 0]) ** p + np.abs(half[:, 1]) ** p) ** (1.0 / p)
-        half = half / norms[:, None]
-        smooth = p > 1.0
-        return cls(np.concatenate([half, -half]), kind="lp", lp_exponent=p,
-                   is_polygonal=False, is_strictly_convex=smooth, is_smooth=smooth)
+        # by construction: a test on the samples would call p >= 8 flat,
+        # since its samples near the axes are collinear to rounding
+        return cls._mirrored(half / norms[:, None], "lp", p > 1.0)
 
     @classmethod
     def square(cls) -> "UnitDisk":

@@ -72,8 +72,11 @@ def random_polygon_disk(rng, m: int | None = None) -> UnitDisk:
 
 
 def random_smooth_disk(rng, n: int = 512) -> UnitDisk:
-    """Random strictly convex disk: a polygon rounded by blending with a
-    ball along common outward normals."""
+    """Random rounded disk: a polygon P blended with a ball along common
+    outward normals, (1 - lam) P + lam B.  Not strictly convex: each edge
+    of P stays, scaled by 1 - lam, as one long flat edge of the n-gon,
+    which the sampled strictness test does not see, so is_strictly_convex
+    reads True."""
     P = random_polygon_disk(rng)
     lam = float(rng.uniform(0.25, 0.6))
     nh = n // 2

@@ -40,7 +40,7 @@ def reuleaux_two_sides_self_consistent(n=768):
 
 def test_polyline_basics():
     p = Polyline([(0.0, 0.0), (1.0, 0.0)])
-    assert len(p) == 2 and not p.closed
+    assert len(p) == 2
     assert np.allclose(p.edges(), [(1.0, 0.0)])
     Polyline([(2.0, 3.0)])  # single point is representable
     with pytest.raises(ValueError):
@@ -93,9 +93,6 @@ def test_check_errors():
     e = UnitDisk.euclidean(256)
     with pytest.raises(ValueError):
         check_increasing_chords(e, Polyline([(0.0, 0.0)]))
-    with pytest.raises(ValueError):
-        check_increasing_chords(e, Polyline([(0, 0), (1, 0), (1, 1)],
-                                            closed=True))
 
 
 

@@ -239,6 +239,25 @@ def test_bisector_command(tmp_path, capsys):
     assert "offset range [0.25, 0.25] is empty" in capsys.readouterr().err
 
 
+def test_bisector_on_a_finely_sampled_radial_circle(tmp_path, capsys):
+    # strict convexity of a sampled circle does not fade with resolution
+    n = 8192
+    disk = tmp_path / "circle.json"
+    disk.write_text(json.dumps({"kind": "radial", "radii": [1.0] * n,
+                                "angles_deg": [i * 360.0 / n for i in range(n)]}))
+    assert main(["bisector", "--disk", str(disk), "--a", "0,0", "--b", "1,0",
+                 "--range=-1,1", "-n", "3"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert np.allclose(np.array([r.split(",") for r in rows], dtype=float)[:, 0],
+                       0.5, atol=1e-6)
+
+
+def test_verify_all_command(capsys):
+    assert main(["verify-all", "--resolution", "1024", "--seed", "0"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert sum(ln.startswith("PASS ") for ln in out) == 16
+
+
 def test_maxmin_command_deterministic(tmp_path, capsys):
     o1, o2 = tmp_path / "m1.json", tmp_path / "m2.json"
     for o in (o1, o2):

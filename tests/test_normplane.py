@@ -235,6 +235,25 @@ def test_from_boundary_samples_symmetry():
         UnitDisk.from_boundary_samples(pts[: len(pts) // 2])
 
 
+def test_sampled_strict_convexity_does_not_depend_on_resolution():
+    # a circle is strictly convex at every sampling; the samples on a side
+    # of the l1 disk are collinear to rounding, so it is not
+    for n in (1024, 8192, 65536):
+        th = np.arange(n) * (2.0 * math.pi / n)
+        u = np.stack([np.cos(th), np.sin(th)], axis=1)
+        l1 = 1.0 / np.abs(u).sum(axis=1)
+        assert UnitDisk.radial(th, np.ones(n)).is_strictly_convex
+        assert UnitDisk.from_boundary_samples(u).is_strictly_convex
+        assert not UnitDisk.radial(th, l1).is_strictly_convex
+        assert not UnitDisk.from_boundary_samples(l1[:, None] * u).is_strictly_convex
+    # builtins are flagged by construction, polygons never
+    assert UnitDisk.euclidean(65536).is_strictly_convex
+    assert UnitDisk.lp(16.0).is_strictly_convex and not UnitDisk.lp(1.0).is_strictly_convex
+    sq = UnitDisk.square()
+    assert sq.is_polygonal and not sq.is_strictly_convex
+    assert not UnitDisk.euclidean(64).is_polygonal
+
+
 def test_random_disks_are_valid():
     rng = np.random.default_rng(3)
     for _ in range(25):
