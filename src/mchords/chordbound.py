@@ -43,10 +43,6 @@ class LmProfile:
     max: float
     argmax: float
 
-    def summary(self) -> dict:
-        return {"min": self.min, "argmin": self.argmin,
-                "max": self.max, "argmax": self.argmax}
-
 
 @dataclass(frozen=True)
 class Hexagon:
@@ -148,7 +144,7 @@ def _corners(disk: UnitDisk, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """
     V = disk.vertices
     n = len(V)
-    j = _wedge_of(disk, *U.T)[0]
+    j = _wedge_of(disk, *U.T)
     if len(U) * n <= _SCAN:
         m = np.arange(len(U))
         idx = (j[:, None] + 1 + np.arange(n // 2)) % n
@@ -170,8 +166,8 @@ def _corners(disk: UnitDisk, U: np.ndarray, W: np.ndarray) -> np.ndarray:
         prev = np.where((lo == 0)[:, None], U, V[(j + lo) % n])
         d = V[(j + 1 + lo) % n] - prev
         a = prev - W
-        jb = _wedge_of(disk, *(a + d).T)[0]
-        ja = np.where((a == 0.0).all(axis=1), jb, _wedge_of(disk, *a.T)[0])
+        jb = _wedge_of(disk, *(a + d).T)
+        ja = np.where((a == 0.0).all(axis=1), jb, _wedge_of(disk, *a.T))
         s = np.where(_cross(a, d) < 0.0, -1, 1)
         # rays crossed in order: vertex ja + 1 + i CCW, ja - i CW; the
         # first on the origin's side (lo = L for none) ends the exit cone
@@ -197,7 +193,7 @@ def _arc(disk: UnitDisk, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     1e-12 * scale to a neighbour are dropped, so a and b stay exact."""
     V = disk.vertices
     n = len(V)
-    ja, jb = _wedge_of(disk, *np.array([a, b]).T)[0]
+    ja, jb = _wedge_of(disk, *np.array([a, b]).T)
     P = np.concatenate([a[None, :], V[(ja + 1 + np.arange((jb - ja) % n)) % n],
                         b[None, :]])
     far = np.hypot(*np.diff(P, axis=0).T) > 1e-12 * max(1.0, float(np.abs(V).max()))
@@ -276,16 +272,11 @@ def _lm_at(disk: UnitDisk, q: np.ndarray) -> np.ndarray:
     x_plus = _corners(disk, q, q)
 
     def arc_pos(x):
-        j = _wedge_of(disk, *x.T)[0]
+        j = _wedge_of(disk, *x.T)
         s = np.einsum("ij,ij->i", x - V[j], E[j]) / np.einsum("ij,ij->i", E[j], E[j])
         return C[j] + s * W[j]
 
     return np.mod(arc_pos(x_plus) - arc_pos(q - x_plus), C[-1])
-
-
-def _lm_many(disk: UnitDisk, dirs: np.ndarray) -> np.ndarray:
-    """lm for each direction."""
-    return _lm_at(disk, unit_vectors(disk, dirs))
 
 
 def _min_lm(disk: UnitDisk) -> float:
@@ -312,7 +303,7 @@ def lm(disk: UnitDisk, direction: float) -> float:
     direction = float(direction)
     if not math.isfinite(direction):
         raise ValueError("lm: direction must be finite, got %r" % direction)
-    return float(_lm_many(disk, np.array([direction]))[0])
+    return float(_lm_at(disk, unit_vectors(disk, np.array([direction])))[0])
 
 
 def lm_sweep(disk: UnitDisk, n: int) -> LmProfile:
@@ -326,7 +317,7 @@ def lm_sweep(disk: UnitDisk, n: int) -> LmProfile:
         va = np.mod(np.arctan2(V[:, 1], V[:, 0]), math.pi)
         dirs = np.unique(np.concatenate([dirs, va]))
         dirs = dirs[np.concatenate([[True], np.diff(dirs) > 1e-12])]
-    vals = _lm_many(disk, dirs)
+    vals = _lm_at(disk, unit_vectors(disk, dirs))
     i0 = int(np.argmin(vals))
     i1 = int(np.argmax(vals))
     return LmProfile(directions=dirs, values=vals,
@@ -354,7 +345,7 @@ def inscribed_hexagon(disk: UnitDisk, p) -> Hexagon:
     V = disk.vertices
     n = len(V)
     tiny = 1e-12 * max(1.0, float(np.abs(V).max()))
-    j = int(_wedge_of(disk, *q[:, None])[0][0])
+    j = int(_wedge_of(disk, *q[:, None])[0])
     if math.hypot(*(V[(j + 1) % n] - q)) <= tiny:
         j = (j + 1) % n
     e_out = disk._edge[j]
@@ -444,7 +435,7 @@ def reuleaux_two_sides(body: ConvexBody, a, b) -> np.ndarray:
 # -- the bounding parallelogram certificate -------------------------------
 
 def _edge_direction_at(disk: UnitDisk, x: np.ndarray) -> np.ndarray:
-    j = int(_wedge_of(disk, *x[:, None])[0][0])
+    j = int(_wedge_of(disk, *x[:, None])[0])
     V = disk.vertices
     e = V[(j + 1) % len(V)] - V[j]
     return e / math.hypot(e[0], e[1])

@@ -36,23 +36,12 @@ def _vec(text: str) -> np.ndarray:
     return np.array([float(parts[0]), float(parts[1])])
 
 
-def _curve2d(path: str) -> Polyline:
-    pts = io.read_curve_csv(path)
-    if pts.shape[1] != 2:
-        raise ValueError("%s: expected a planar curve (got %d columns)"
-                         % (path, pts.shape[1]))
-    return Polyline(pts)
-
-
 def _load_base(token: str, resolution: int) -> ConvexBody:
     """Involute base: a builtin/JSON disk token, or a CSV whose rows are
     the vertices of a closed convex polygon (taken as exact)."""
     if token.startswith("builtin:") or token.endswith(".json"):
         return ConvexBody.from_disk(io.load_disk(token, resolution))
-    pts = io.read_curve_csv(token)
-    if pts.shape[1] != 2:
-        raise ValueError("%s: base polygon must be planar" % token)
-    return ConvexBody(pts, exact_polygon=True)
+    return ConvexBody(io.read_curve_csv(token), exact_polygon=True)
 
 
 def _maybe_svg(path, layers) -> None:
@@ -67,15 +56,13 @@ def _disk_layer(disk, stroke="#888888"):
 
 # -- command handlers -----------------------------------------------------
 
-def _cmd_gauge(args) -> int:
-    disk = io.load_disk(args.disk, args.resolution)
+def _cmd_gauge(args, disk) -> int:
     print(_F % gauge(disk, _vec(args.vec)))
     return 0
 
 
-def _cmd_check(args) -> int:
-    disk = io.load_disk(args.disk, args.resolution)
-    curve = _curve2d(args.curve)
+def _cmd_check(args, disk) -> int:
+    curve = Polyline(io.read_curve_csv(args.curve))
     rep = check_increasing_chords(disk, curve, tol=args.tol)
     io.emit(io.report_json(rep) + "\n", args.out)
     _maybe_svg(args.svg, [{"points": curve.points, "stroke": "#004488",
@@ -83,19 +70,15 @@ def _cmd_check(args) -> int:
     return 0 if rep.holds else 1
 
 
-def _cmd_check_wrt(args) -> int:
-    disk = io.load_disk(args.disk, args.resolution)
-    curve = _curve2d(args.curve)
+def _cmd_check_wrt(args, disk) -> int:
+    curve = Polyline(io.read_curve_csv(args.curve))
     anchors = io.read_curve_csv(args.anchors)
-    if anchors.shape[1] != 2:
-        raise ValueError("anchor set must be planar")
     rep = check_increasing_wrt_set(disk, curve, anchors, tol=args.tol)
     io.emit(io.report_json(rep) + "\n", args.out)
     return 0 if rep.holds else 1
 
 
-def _cmd_involute(args) -> int:
-    disk = io.load_disk(args.disk, args.resolution)
+def _cmd_involute(args, disk) -> int:
     base = _load_base(args.base, args.resolution)
     cu = build_involute(disk, base, _vec(args.point), args.theta_min,
                         args.theta_max, args.samples)
@@ -109,14 +92,12 @@ def _cmd_involute(args) -> int:
     return 0
 
 
-def _cmd_lm(args) -> int:
-    disk = io.load_disk(args.disk, args.resolution)
+def _cmd_lm(args, disk) -> int:
     print("%.6f" % lm(disk, args.dir))
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    disk = io.load_disk(args.disk, args.resolution)
+def _cmd_sweep(args, disk) -> int:
     prof = lm_sweep(disk, args.samples)
     if args.out:
         io.emit(io.profile_csv(prof), args.out)
@@ -125,8 +106,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_hexagon(args) -> int:
-    disk = io.load_disk(args.disk, args.resolution)
+def _cmd_hexagon(args, disk) -> int:
     hxg = inscribed_hexagon(disk, unit_vector(disk, args.dir))
     io.emit(io.hexagon_json(hxg) + "\n", args.out)
     _maybe_svg(args.svg, [
@@ -137,8 +117,7 @@ def _cmd_hexagon(args) -> int:
     return 0
 
 
-def _cmd_reuleaux(args) -> int:
-    disk = io.load_disk(args.disk, args.resolution)
+def _cmd_reuleaux(args, disk) -> int:
     hxg = inscribed_hexagon(disk, unit_vector(disk, args.dir))
     body, per = reuleaux(disk, hxg)
     p, q = hxg.vertices[0], hxg.vertices[1]
@@ -182,14 +161,12 @@ def _cmd_hypercube(args) -> int:
 
 
 def _cmd_convexify(args) -> int:
-    cu = _curve2d(args.curve)
-    out = convexify(cu)
+    out = convexify(Polyline(io.read_curve_csv(args.curve)))
     io.emit(io.curve_csv(out.points), args.out)
     return 0
 
 
-def _cmd_bisector(args) -> int:
-    disk = io.load_disk(args.disk, args.resolution)
+def _cmd_bisector(args, disk) -> int:
     rng = _vec(args.range)
     bs = bisector_sample(disk, _vec(args.a), _vec(args.b),
                          (rng[0], rng[1]), args.samples)
@@ -217,9 +194,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def new(name, handler, help_, disk=True):
+        """Subcommand name.  With disk, it takes --disk and --resolution
+        and its handler is called as handler(args, disk) on the loaded
+        disk; without, as handler(args)."""
         p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
         if disk:
+            p.set_defaults(handler=lambda args: handler(
+                args, io.load_disk(args.disk, args.resolution)))
             p.add_argument("--disk", default="builtin:euclidean",
                            help="unit disk: path to JSON, builtin:NAME, or "
                                 "builtin:lp:P (default builtin:euclidean)")
@@ -309,7 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = new("verify-all", _cmd_verify_all,
-            "run the built-in invariant battery")
+            "run the built-in invariant battery", disk=False)
+    p.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION,
+                   help="boundary polygonization of the battery's smooth disks")
     p.add_argument("--seed", type=int, default=0)
 
     return ap

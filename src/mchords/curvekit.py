@@ -392,11 +392,13 @@ def is_x_monotone(curve: Polyline) -> bool:
 def convexify(curve: Polyline) -> Polyline:
     """Rearrange the edge vectors of a strictly x-monotone curve by slope.
 
-    Edges are sorted so their angles strictly decrease; exactly parallel
-    edges are merged by vector addition.  The endpoints and the multiset
-    of edge vectors (up to merging) are preserved, so the arclength in
-    every norm is unchanged.  Already-sorted curves are returned as an
-    identical copy.
+    Edges are sorted so their angles strictly decrease, and the endpoints
+    are kept exactly.  A vertex between two edges whose angles, taken
+    from the output's own points, do not strictly decrease (parallel
+    edges, or edges parallel to rounding) is dropped, which merges them.
+    The multiset of edge vectors is kept up to that merging, so the
+    arclength in every norm is kept to rounding.  Already-sorted curves
+    are returned as an identical copy.
     """
     if not is_x_monotone(curve):
         raise GeometryError("convexify: curve must be strictly x-monotone")
@@ -407,15 +409,12 @@ def convexify(curve: Polyline) -> Polyline:
     if np.all(d < 0) or len(E) == 1:
         return Polyline(P.copy())
     order = np.argsort(-ang, kind="stable")
-    Es = E[order]
-    merged = [Es[0]]
-    for e in Es[1:]:
-        last = merged[-1]
-        if last[0] * e[1] - last[1] * e[0] == 0.0:
-            merged[-1] = last + e
-        else:
-            merged.append(e)
-    out = np.empty((len(merged) + 1, 2))
-    out[0] = P[0]
-    out[1:] = P[0] + np.cumsum(merged, axis=0)
-    return Polyline(out)
+    Q = np.concatenate([P[:1], P[0] + np.cumsum(E[order], axis=0)])
+    Q[-1] = P[-1]
+    while True:
+        F = Q[1:] - Q[:-1]
+        a = np.arctan2(F[:, 1], F[:, 0])
+        keep = np.concatenate([[True], a[:-1] > a[1:], [True]])
+        if keep.all():
+            return Polyline(Q)
+        Q = Q[keep]

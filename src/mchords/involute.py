@@ -259,7 +259,7 @@ def involute_support_direction(curve: InvoluteCurve, theta: float) -> InvoluteSu
     point = curve.point_at(theta)
     Vd = norm.vertices
     md = len(Vd)
-    j = int(_wedge_of(norm, np.array([x]), np.array([y]))[0][0])
+    j = int(_wedge_of(norm, np.array([x]), np.array([y]))[0])
     if norm.is_polygonal:
         for cand in (j, (j + 1) % md):
             if _on_vertex_ray(Vd, cand, x, y):

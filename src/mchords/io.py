@@ -43,18 +43,24 @@ def disk_to_json(disk: UnitDisk) -> str:
     return '{"kind": "polygon", "vertices": [%s]}' % verts
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line of %.17g values per row."""
+    lines = [header]
+    lines.extend(",".join(_F % v for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def curve_csv(points: np.ndarray) -> str:
     """CSV text for an (n, d) vertex array, under the header x,y or
     x1..xd depending on the dimension."""
     P = np.asarray(points, dtype=float)
     d = P.shape[1]
-    rows = ["x,y" if d == 2 else ",".join("x%d" % (i + 1) for i in range(d))]
-    for row in P:
-        rows.append(",".join(_F % v for v in row))
-    return "\n".join(rows) + "\n"
+    return _csv("x,y" if d == 2 else ",".join("x%d" % (i + 1) for i in range(d)), P)
 
 
 def read_curve_csv(path: str) -> np.ndarray:
+    """The (n, 2) points of a planar curve CSV: rows x,y under an
+    optional header.  Any other column count is refused."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -68,24 +74,20 @@ def read_curve_csv(path: str) -> np.ndarray:
     if start == len(lines):
         raise ValueError("curve file %s has a header but no rows" % path)
     data = [[float(v) for v in ln.split(",")] for ln in lines[start:]]
-    width = {len(r) for r in data}
-    if len(width) != 1:
-        raise ValueError("curve file %s has ragged rows" % path)
+    for i, row in enumerate(data):
+        if len(row) != 2:
+            raise ValueError("curve file %s: row %d has %d columns, expected 2 (x,y)"
+                             % (path, i + 1, len(row)))
     return np.array(data, dtype=float)
 
 
 def involute_csv(thetas: np.ndarray, points: np.ndarray) -> str:
-    rows = ["theta,x,y"]
-    for th, (x, y) in zip(thetas, points):
-        rows.append("%s,%s,%s" % (_F % th, _F % x, _F % y))
-    return "\n".join(rows) + "\n"
+    return _csv("theta,x,y", np.column_stack([thetas, points]))
 
 
 def profile_csv(profile) -> str:
-    rows = ["direction_rad,lm_value"]
-    for d, v in zip(profile.directions, profile.values):
-        rows.append("%s,%s" % (_F % d, _F % v))
-    return "\n".join(rows) + "\n"
+    return _csv("direction_rad,lm_value",
+                np.column_stack([profile.directions, profile.values]))
 
 
 def profile_summary(profile) -> str:

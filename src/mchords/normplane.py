@@ -176,6 +176,10 @@ class UnitDisk:
             a = np.deg2rad(a)
         if a.ndim != 1 or a.shape != r.shape:
             raise InvalidDiskError("radial: angles and radii must be equal-length 1-d arrays")
+        for what, v in (("angle", a), ("radius", r)):
+            if not np.isfinite(v).all():
+                raise InvalidDiskError("radial: %s at sample %d is not finite"
+                                       % (what, int(np.argmin(np.isfinite(v)))))
         n = len(a)
         if n < 4 or n % 2 != 0:
             raise InvalidDiskError("radial: need an even number (>= 4) of samples, got %d" % n)
@@ -210,6 +214,9 @@ class UnitDisk:
         P = np.asarray(points, dtype=float)
         if P.ndim != 2 or P.shape[1] != 2 or len(P) < 4:
             raise InvalidDiskError("boundary samples: need an (n, 2) array, n >= 4")
+        if not np.isfinite(P).all():
+            raise InvalidDiskError("boundary samples: point %d is not finite"
+                                   % int(np.argmin(np.isfinite(P).all(axis=1))))
         ang = np.mod(np.arctan2(P[:, 1], P[:, 0]), TWO_PI)
         order = np.argsort(ang, kind="stable")
         P = P[order]
@@ -282,12 +289,6 @@ class UnitDisk:
         raise InvalidDiskError("disk spec: unknown builtin %r (have: "
                                "euclidean, square, hexagon, lp)" % (name,))
 
-    # -- basic geometry ----------------------------------------------------
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * float(np.hypot(self.vertices[:, 0], self.vertices[:, 1]).max())
-
     def __repr__(self):
         return "UnitDisk(kind=%r, n=%d)" % (self.kind, len(self.vertices))
 
@@ -344,11 +345,8 @@ class ConvexBody:
         self.exact_polygon = bool(exact_polygon)
 
     @classmethod
-    def from_disk(cls, disk: UnitDisk, translate=None) -> "ConvexBody":
-        V = disk.vertices
-        if translate is not None:
-            V = V + as_vec(translate)
-        return cls(V, exact_polygon=disk.is_polygonal)
+    def from_disk(cls, disk: UnitDisk) -> "ConvexBody":
+        return cls(disk.vertices, exact_polygon=disk.is_polygonal)
 
     @property
     def diameter(self) -> float:
@@ -370,7 +368,9 @@ def gauge_many(disk: UnitDisk, V) -> np.ndarray:
     """
     V = np.asarray(V, dtype=float)
     x, y = V.reshape(-1, 2).T
-    g = _cone_gauge(disk, _wedge_of(disk, x, y)[0], x, y)
+    j = _wedge_of(disk, x, y)
+    # linear on cone j
+    g = (disk._edge[j, 0] * y - disk._edge[j, 1] * x) / disk._edge_c[j]
     zero = (x == 0.0) & (y == 0.0)
     if zero.any():
         g = np.where(zero, 0.0, g)
@@ -389,20 +389,14 @@ def _wrapped_angle(a0: float, x: np.ndarray, y: np.ndarray):
     return r
 
 
-def _wedge_of(disk: UnitDisk, x: np.ndarray, y: np.ndarray):
+def _wedge_of(disk: UnitDisk, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cone j of each direction (x, y), the wedge over boundary edge j
-    holding it, and its polar angle r from _wrapped_angle, so that
-    _ang[j] <= r < _ang[j + 1].  x and y are component arrays of one
-    shape."""
+    holding it: _ang[j] <= r < _ang[j + 1] for its polar angle r from
+    _wrapped_angle.  x and y are component arrays of one shape."""
     r = _wrapped_angle(disk._ang[0], x, y)
     j = np.searchsorted(disk._ang, r, side="right") - 1
     np.minimum(j, len(disk._ang) - 1, out=j)
-    return j, r
-
-
-def _cone_gauge(disk: UnitDisk, j, x, y):
-    """Gauge of (x, y) on cone j, where it is linear."""
-    return (disk._edge[j, 0] * y - disk._edge[j, 1] * x) / disk._edge_c[j]
+    return j
 
 
 def gauge(disk: UnitDisk, v) -> float:

@@ -38,7 +38,7 @@ def render(layers) -> str:
     """SVG document for a list of layers.
 
     Each layer: {"points": (n,2) array, "closed": bool, "stroke": color,
-    "width": float, "fill": color or "none", "dash": optional}.
+    "width": float, "dash": optional}.  Paths are not filled.
     """
     layers = [la for la in layers if len(la["points"]) > 0]
     if not layers:
@@ -65,9 +65,8 @@ def render(layers) -> str:
         d = _path(P, la.get("closed", False), transform)
         dash = la.get("dash")
         parts.append(
-            '<path d="%s" fill="%s" stroke="%s" stroke-width="%.1f"%s/>'
-            % (d, la.get("fill", "none"), la.get("stroke", "#000"),
-               la.get("width", 2.0),
+            '<path d="%s" fill="none" stroke="%s" stroke-width="%.1f"%s/>'
+            % (d, la.get("stroke", "#000"), la.get("width", 2.0),
                ' stroke-dasharray="%s"' % dash if dash else ""))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

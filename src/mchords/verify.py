@@ -184,7 +184,7 @@ def _check_birkhoff(disks, rng):
             if j is not None and math.hypot(*(V[j] - x)) <= 1e-9:
                 e = V[(j + 1) % m] - V[j]
             else:
-                jj = int(_wedge_of(disk, *x[:, None])[0][0])
+                jj = int(_wedge_of(disk, *x[:, None])[0])
                 e = V[(jj + 1) % m] - V[jj]
             if not is_birkhoff_orthogonal(disk, x, e, tol=1e-7):
                 return False, "%s: radial not orthogonal to boundary edge" % name

@@ -326,7 +326,7 @@ def test_cone_lookup_and_ray_test_match_reference():
             np.testing.assert_allclose(g[0, rows], exact, rtol=1e-15, atol=0.0)
         np.testing.assert_array_equal(sf[0], s_ref)
         np.testing.assert_array_equal(sr[0], s_ref)
-        np.testing.assert_array_equal(_wedge_of(disk, *W.T)[0], j_ref)
+        np.testing.assert_array_equal(_wedge_of(disk, *W.T), j_ref)
         # with the zero vector and the vertices themselves (the first at
         # angle a0 exactly), the kernel's gauge is gauge_many's and its
         # cone _wedge_of's
@@ -334,7 +334,7 @@ def test_cone_lookup_and_ray_test_match_reference():
         g = terms(W.T, None, None)[0]
         np.testing.assert_array_equal(g, gauge_many(disk, W))
         np.testing.assert_array_equal(terms.cone(_wrapped_angle(a0, *W.T)),
-                                      _wedge_of(disk, *W.T)[0])
+                                      _wedge_of(disk, *W.T))
     # the fullest buckets of the thin gons: 6, 10 and 11 bisection steps
     assert fullest[-3:] == [50, 940, 1024]
 

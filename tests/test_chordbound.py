@@ -169,7 +169,7 @@ def test_corner_distance_grows_towards_antipode():
         V = disk.vertices
         n = len(V)
         q = _boundary_rows(disk, rng, 64)
-        j = _wedge_of(disk, *q.T)[0]
+        j = _wedge_of(disk, *q.T)
         P = V[(j[:, None] + 1 + np.arange(n // 2)) % n]
         for c in (1.0, *rng.uniform(0.0, 2.0, 3)):
             G = gauge_many(disk, P - c * q[:, None, :])

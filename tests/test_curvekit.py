@@ -49,6 +49,10 @@ def test_polyline_basics():
         Polyline([(0.0, 0.0), (np.nan, 1.0)])
 
 
+def test_arclength_of_one_point_is_0():
+    assert arclength(UnitDisk.square(), Polyline([(0.5, -2.0)])) == 0.0
+
+
 def test_arclength_examples():
     sq = UnitDisk.square()
     assert arclength(sq, Polyline([(0, 0), (1, 0), (1, 1)])) == 2.0
@@ -307,6 +311,48 @@ def test_convexify_identity_on_cap():
     pts = [(0.0, 0.0), (0.25, 0.4), (0.75, 0.6), (1.0, 0.5)]
     out = convexify(Polyline(pts))
     assert np.array_equal(out.points, np.asarray(pts))
+
+
+def test_convexify_merges_exactly_parallel_edges():
+    # the two (1, 1) edges meet after sorting; the vertex between them goes
+    out = convexify(Polyline([(0, 0), (1, 1), (2, 0), (3, 1)]))
+    assert np.array_equal(out.points, [(0, 0), (2, 2), (3, 1)])
+
+
+def _angles_strictly_decrease(curve):
+    E = curve.edges()
+    return bool(np.all(np.diff(np.arctan2(E[:, 1], E[:, 0])) < 0))
+
+
+def test_convexify_merges_edges_parallel_to_rounding():
+    # b = c a with one ulp added to b[1]: the cross product of a and b is
+    # not 0, yet their angles often round to one value
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        a = rng.uniform(0.1, 2.0, 2)
+        b = rng.uniform(0.1, 2.0) * a
+        b[1] = np.nextafter(b[1], np.inf)
+        P = np.cumsum([(0.0, 0.0), (1.0, -3.0), a, b], axis=0)
+        out = convexify(Polyline(P))
+        assert _angles_strictly_decrease(out)
+        assert np.array_equal(out.points[[0, -1]], P[[0, -1]])
+
+
+def test_convexify_keeps_float_endpoints_and_lengths():
+    rng = np.random.default_rng(99)
+    disks = (UnitDisk.square(), UnitDisk.regular_hexagon(),
+             UnitDisk.euclidean(1024), UnitDisk.lp(4, 1024))
+    for _ in range(300):
+        n = int(rng.integers(3, 30))
+        xs = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 1.0, n - 1))])
+        curve = Polyline(np.stack([xs, rng.normal(size=n)], axis=1))
+        out = convexify(curve)
+        assert np.array_equal(out.points[0], curve.points[0])
+        assert np.array_equal(out.points[-1], curve.points[-1])
+        assert is_x_monotone(out) and _angles_strictly_decrease(out)
+        for disk in disks:
+            ref = arclength(disk, curve)
+            assert abs(arclength(disk, out) - ref) <= 1e-14 * ref
 
 
 def test_convexify_rejects_non_monotone():

@@ -200,6 +200,15 @@ def test_reuleaux_command(capsys):
                     '[[0, 0], [1, 0], [0.5, 0.8660254037844386]]}\n')
 
 
+def test_reuleaux_out_writes_the_ring_csv(tmp_path, capsys):
+    out = tmp_path / "ring.csv"
+    assert main(["reuleaux", "--disk", "builtin:hexagon", "--out", str(out)]) == 0
+    capsys.readouterr()
+    hx = UnitDisk.regular_hexagon()
+    body, _ = mchords.reuleaux(hx, mchords.inscribed_hexagon(hx, (1.0, 0.0)))
+    assert out.read_text() == io.curve_csv(body.vertices)
+
+
 def test_hexagon_command(capsys):
     assert main(["hexagon", "--disk", "builtin:square",
                  "--dir", "0.7853981633974483"]) == 0
@@ -258,6 +267,11 @@ def test_verify_all_command(capsys):
     assert sum(ln.startswith("PASS ") for ln in out) == 16
 
 
+def test_verify_all_takes_no_disk(capsys):
+    assert main(["verify-all", "--disk", "builtin:square"]) == 2
+    assert "unrecognized arguments: --disk" in capsys.readouterr().err
+
+
 def test_maxmin_command_deterministic(tmp_path, capsys):
     o1, o2 = tmp_path / "m1.json", tmp_path / "m2.json"
     for o in (o1, o2):
@@ -304,6 +318,31 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["gauge", "--disk", str(bad), "--vec", "1,0"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_curve_csvs_must_have_two_columns(tmp_path, capsys):
+    good = write_curve(tmp_path / "c.csv", [[0, 0], [1, 0], [2, 0.5]])
+    bad = tmp_path / "c3.csv"
+    bad.write_text("x,y,z\n0,0,0\n1,0,0\n2,1,0\n")
+    calls = [["check", "--curve", str(bad)],
+             ["check-wrt", "--curve", good, "--anchors", str(bad)],
+             ["convexify", "--curve", str(bad)],
+             ["involute", "--base", str(bad), "--point", "0,0"]]
+    for argv in calls:
+        assert main(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and "row 1 has 3 columns" in out.err, argv
+
+
+def test_non_finite_radial_disk_exits_2_without_warnings(tmp_path, capsys):
+    disk = tmp_path / "r.json"
+    disk.write_text('{"kind": "radial", "angles_deg": [0, 90, 180, 270], '
+                    '"radii": [1, Infinity, 1, Infinity]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lm", "--disk", str(disk), "--dir", "0.3"]) == 2
+    assert capsys.readouterr().err == \
+        "error: radial: radius at sample 1 is not finite\n"
 
 
 def test_non_finite_and_negative_inputs_exit_2(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +91,15 @@ def test_support_square_contacts():
     assert np.allclose(corner.contact, (1.0, 1.0), atol=1e-12)
 
 
+def test_support_contact_wraps_past_ring_index_0():
+    # the ring starts at (-1, -1), so the left edge runs from its last
+    # vertex to its first: the contact walks backwards past index 0
+    sq = UnitDisk.square()
+    assert np.array_equal(sq.vertices[0], (-1.0, -1.0))
+    line = support(sq, (-1.0, 0.0))
+    assert np.array_equal(line.contact, [(-1.0, 1.0), (-1.0, -1.0)])
+
+
 def test_support_half_plane_invariant():
     rng = np.random.default_rng(7)
     for disk in builtin_disks(512).values():
@@ -147,6 +158,12 @@ def test_boundary_arclength_square_perimeter():
     a = boundary_arclength(sq, sq, (1.0, 1.0), (-1.0, 1.0))
     b = boundary_arclength(sq, sq, (1.0, -1.0), (-1.0, 1.0))
     assert a == 2.0 and b == 4.0
+
+
+def test_boundary_arclength_from_a_point_to_itself_is_0():
+    for disk in (UnitDisk.square(), UnitDisk.euclidean(256)):
+        for p in (disk.vertices[1], unit_vector(disk, 0.7)):
+            assert boundary_arclength(disk, disk, p, p) == 0.0
 
 
 def test_boundary_arclength_euclid_quarter():
@@ -281,7 +298,7 @@ def test_convex_body_validates_wherever_it_sits(offset):
     for disk in (UnitDisk.square(), UnitDisk.regular_hexagon(),
                  UnitDisk.euclidean(1024)):
         V = disk.vertices
-        body = ConvexBody.from_disk(disk, t)
+        body = ConvexBody(V + t, exact_polygon=disk.is_polygonal)
         assert np.array_equal(body.vertices, V + t)
         # boundary points between the vertices too: at 1e8 they are off
         # the ring by a last place of the coordinates
@@ -320,3 +337,75 @@ def test_gauge_matches_facet_max_oracle():
         g, ref = gauge_many(disk, W), oracles.polygon_gauge(V)(W)
         assert g[-1] == ref[-1] == 0.0
         assert (np.abs(g[:-1] - ref[:-1]) / ref[:-1]).max() <= 1e-12
+
+
+_RING4 = [0.0, 90.0, 180.0, 270.0]
+_SQ = [(1.0, -1.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0)]
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, error, named", [
+    # radial: shapes, count, and each sample refusal names its sample
+    (lambda: UnitDisk.radial([0.0, 1.0], [1.0]), InvalidDiskError,
+     "equal-length 1-d arrays"),
+    (lambda: UnitDisk.radial([0.0, 1.0, 2.0], [1.0] * 3), InvalidDiskError,
+     "got 3"),
+    (lambda: UnitDisk.radial(_RING4, [1.0, _INF, 1.0, _INF], degrees=True),
+     InvalidDiskError, "radius at sample 1 is not finite"),
+    (lambda: UnitDisk.radial(_RING4, [1.0, 1.0, _NAN, 1.0], degrees=True),
+     InvalidDiskError, "radius at sample 2 is not finite"),
+    (lambda: UnitDisk.radial([0.0, _NAN, 180.0, 270.0], [1.0] * 4, degrees=True),
+     InvalidDiskError, "angle at sample 1 is not finite"),
+    (lambda: UnitDisk.radial(_RING4, [1.0, 1.0, 1.0, 0.0], degrees=True),
+     InvalidDiskError, "radius at sample 3 is not positive"),
+    (lambda: UnitDisk.radial([0.0, 90.0, 180.0, 360.0], [1.0] * 4, degrees=True),
+     InvalidDiskError, "angle at sample 3 outside"),
+    (lambda: UnitDisk.radial([0.0, 90.0, 90.0, 270.0], [1.0] * 4, degrees=True),
+     InvalidDiskError, "not strictly increasing at sample 2"),
+    (lambda: UnitDisk.radial([0.0, 90.0, 180.0, 280.0], [1.0] * 4, degrees=True),
+     InvalidDiskError, "sample 1 has no partner"),
+    (lambda: UnitDisk.radial(_RING4, [1.0, 1.0, 1.0, 2.0], degrees=True),
+     InvalidDiskError, "radii at angle 1 and its antipode differ"),
+    # boundary samples
+    (lambda: UnitDisk.from_boundary_samples(_SQ[:3]), InvalidDiskError,
+     "n >= 4"),
+    (lambda: UnitDisk.from_boundary_samples([(1, 0), (_NAN, 1), (-1, 0), (0, -1)]),
+     InvalidDiskError, "point 1 is not finite"),
+    (lambda: UnitDisk.from_boundary_samples([(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)]),
+     InvalidDiskError, "even count"),
+    (lambda: UnitDisk.from_boundary_samples([(1, 0), (0, 1), (-1, 0), (0, -2)]),
+     InvalidDiskError, "not origin-symmetric"),
+    # polygons
+    (lambda: UnitDisk.polygon([(1, 0), (0, 1), (_INF, 0), (0, -1)]),
+     InvalidDiskError, "vertex 2 is not finite"),
+    (lambda: UnitDisk.polygon([(0, 0)] * 4), InvalidDiskError,
+     "all vertices at the origin"),
+    (lambda: UnitDisk.polygon([(1, 0), (1, 0), (-1, 0), (-1, 0)]),
+     InvalidDiskError, "vertices 0 and 1 coincide"),
+    (lambda: UnitDisk.polygon([(1, 0), (2, 0), (-1, 0), (-2, 0)]),
+     InvalidDiskError, "origin is not strictly interior (edge starting at vertex 0)"),
+    (lambda: UnitDisk.lp(0.5), InvalidDiskError, "exponent must be"),
+    (lambda: UnitDisk.lp(_INF), InvalidDiskError, "exponent must be"),
+    # specs missing a field
+    (lambda: UnitDisk.from_spec({"kind": "polygon"}), InvalidDiskError,
+     "polygon needs 'vertices'"),
+    (lambda: UnitDisk.from_spec({"kind": "radial", "angles_deg": _RING4}),
+     InvalidDiskError, "radial needs 'angles_deg' and 'radii'"),
+    (lambda: UnitDisk.from_spec({"kind": "builtin", "name": "lp"}),
+     InvalidDiskError, "builtin lp needs 'p'"),
+    # convex bodies and vectors
+    (lambda: ConvexBody([(0, 0), (1, 0)]), ValueError, "n >= 3"),
+    (lambda: ConvexBody([(0, 0), (1, 0), (_NAN, 1)]), ValueError, "non-finite"),
+    (lambda: ConvexBody([(0, 0), (1, 0), (1, 0), (0, 1)]), ValueError,
+     "repeated consecutive"),
+    (lambda: gauge(UnitDisk.square(), (1.0, 2.0, 3.0)), ValueError,
+     "expected a 2-vector, got shape (3,)"),
+    (lambda: gauge(UnitDisk.square(), (1.0, _NAN)), ValueError,
+     "non-finite components"),
+])
+def test_refusals_name_their_cause(build, error, named):
+    # each refusal comes before any arithmetic on the bad input: no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=re.escape(named)):
+            build()
