@@ -22,7 +22,8 @@ import numpy as np
 from .errors import GeometryError
 from .normplane import (ConvexBody, UnitDisk, as_vec, gauge, gauge_many,
                         unit_vectors, locate_on_boundary, _cross,
-                        _gauge_slopes, _shift, _vertices_of, _wedge_of)
+                        _gauge_slopes, _shift, _vertices_of, _wedge_of,
+                        _wrapped_angle)
 
 
 @dataclass(frozen=True)
@@ -145,46 +146,58 @@ def _corners(disk: UnitDisk, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     V = disk.vertices
     n = len(V)
     j = _wedge_of(disk, *U.T)
-    if len(U) * n <= _SCAN:
-        m = np.arange(len(U))
+    scan = len(U) * n <= _SCAN
+    if scan:
         idx = (j[:, None] + 1 + np.arange(n // 2)) % n
-        G = gauge_many(disk, V[idx] - W[:, None, :])
-        k = np.argmax(G >= 1.0, axis=1)
-        prev = np.where((k == 0)[:, None], U, V[idx[m, np.maximum(k - 1, 0)]])
-        d = V[idx[m, k]] - prev
-        # leave M from prev - W along d: gauge(w) = max_j <w, grad_j>
-        den = d @ disk._grad.T
-        num = 1.0 - (prev - W) @ disk._grad.T
+        lo = np.argmax(gauge_many(disk, V[idx] - W[:, None, :]) >= 1.0, axis=1)
     else:
-        lo = np.zeros_like(j)
-        hi = np.full_like(j, n // 2 - 1)
-        for _ in range((n // 2 - 1).bit_length()):
-            mid = (lo + hi) >> 1
-            far = gauge_many(disk, V[(j + 1 + mid) % n] - W) >= 1.0
-            hi = np.where(far, mid, hi)
-            lo = np.where(far, lo, np.minimum(mid + 1, hi))
-        prev = np.where((lo == 0)[:, None], U, V[(j + lo) % n])
-        d = V[(j + 1 + lo) % n] - prev
-        a = prev - W
-        jb = _wedge_of(disk, *(a + d).T)
-        ja = np.where((a == 0.0).all(axis=1), jb, _wedge_of(disk, *a.T))
-        s = np.where(_cross(a, d) < 0.0, -1, 1)
-        # rays crossed in order: vertex ja + 1 + i CCW, ja - i CW; the
-        # first on the origin's side (lo = L for none) ends the exit cone
-        L = s * (jb - ja) % n
-        lo = np.zeros_like(L)
-        hi = L
-        for _ in range(int(L.max()).bit_length()):
-            mid = (lo + hi) >> 1
-            past = s * _cross(d, V[(ja + s * mid + (s > 0)) % n] - a) > 0.0
-            hi = np.where(past, mid, hi)
-            lo = np.where(past, lo, np.minimum(mid + 1, hi))
-        g = disk._grad[((ja + s * lo)[:, None] + np.array([-1, 0, 1])) % n]
-        den = np.einsum("ij,ikj->ik", d, g)
-        num = 1.0 - np.einsum("ij,ikj->ik", a, g)
+        lo = _bisect(np.full_like(j, n // 2 - 1),
+                     lambda i: gauge_many(disk, V[(j + 1 + i) % n] - W) >= 1.0)
+    prev = np.where((lo == 0)[:, None], U, V[(j + lo) % n])
+    d = V[(j + 1 + lo) % n] - prev
+    if scan:
+        return _cut_all(prev, d, W, disk._grad)
+    a = prev - W
+    jb = _wedge_of(disk, *(a + d).T)
+    ja = np.where((a == 0.0).all(axis=1), jb, _wedge_of(disk, *a.T))
+    s = np.where(_cross(a, d) < 0.0, -1, 1)
+    # rays crossed in order: vertex ja + 1 + i CCW, ja - i CW; the first
+    # on the origin's side (i = L for none) ends the exit cone
+    ex = _bisect(s * (jb - ja) % n,
+                 lambda i: s * _cross(d, V[(ja + s * i + (s > 0)) % n] - a) > 0.0)
+    g = disk._grad[((ja + s * ex)[:, None] + np.array([-1, 0, 1])) % n]
+    return _cut(prev, d, np.einsum("ij,ikj->ik", d, g),
+                1.0 - np.einsum("ij,ikj->ik", a, g))
+
+
+def _bisect(hi: np.ndarray, test) -> np.ndarray:
+    """The least i in [0, hi] of each row with test(i) true, or hi when
+    none below it passes, by bisection: test must be monotone in i."""
+    lo = np.zeros_like(hi)
+    for _ in range(int(hi.max()).bit_length()):
+        mid = (lo + hi) >> 1
+        past = test(mid)
+        hi = np.where(past, mid, hi)
+        lo = np.where(past, lo, np.minimum(mid + 1, hi))
+    return lo
+
+
+def _cut_all(prev, d, W, grad):
+    """_cut by every facet of the disk: rows (m, 2) with its (n, 2)
+    gradients, or a stack of rows (B, m, 2) with the (B, n, 2) gradients
+    of the B disks, each cut by its own."""
+    # leave M from prev - W along d: gauge(w) = max_j <w, grad_j>
+    gT = np.swapaxes(grad, -1, -2)
+    return _cut(prev, d, d @ gT, 1.0 - (prev - W) @ gT)
+
+
+def _cut(prev, d, den, num):
+    """prev + t d with t the least ratio num / den over the facets (last
+    axis) with den > 0, clipped to [0, 1]: where prev - W + t d leaves M,
+    given den = <d, g> and num = 1 - <prev - W, g> for facet functionals g."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(den > 0.0, num / den, np.inf).min(axis=1)
-    return prev + np.clip(t, 0.0, 1.0)[:, None] * d
+        t = np.where(den > 0.0, num / den, np.inf).min(axis=-1)
+    return prev + np.clip(t, 0.0, 1.0)[..., None] * d
 
 
 def _arc(disk: UnitDisk, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -272,11 +285,17 @@ def _lm_at(disk: UnitDisk, q: np.ndarray) -> np.ndarray:
     x_plus = _corners(disk, q, q)
 
     def arc_pos(x):
-        j = _wedge_of(disk, *x.T)
-        s = np.einsum("ij,ij->i", x - V[j], E[j]) / np.einsum("ij,ij->i", E[j], E[j])
-        return C[j] + s * W[j]
+        return _arc_pos(x, _wedge_of(disk, *x.T), V, E, W, C)
 
     return np.mod(arc_pos(x_plus) - arc_pos(q - x_plus), C[-1])
+
+
+def _arc_pos(x, j, V, E, W, C):
+    """M-length of the boundary arc from vertex 0 to each row x, where x
+    lies in cone j: V and E are the vertices and edge vectors, W the edge
+    gauges and C the arc length up to each vertex."""
+    s = np.einsum("ij,ij->i", x - V[j], E[j]) / np.einsum("ij,ij->i", E[j], E[j])
+    return C[j] + s * W[j]
 
 
 def _min_lm(disk: UnitDisk) -> float:
@@ -295,6 +314,75 @@ def _min_lm(disk: UnitDisk) -> float:
     if not np.array_equal(V[h:], -V[:h]):
         raise GeometryError("_min_lm: the ring is not exactly symmetric")
     return float(_lm_at(disk, V[:h]).min())
+
+
+def _min_lm_many(disks) -> np.ndarray:
+    """_min_lm of each of a list of disks with one vertex count, bit for
+    bit, in one vectorised pass over their tables laid end to end: row
+    b * n + j of a table is row j of disk b's.
+
+    Each disk's own rule holds throughout: cones are found by _wedge_of's
+    rule, the bracket by _corners' (the whole gauge table is scanned when
+    rows times vertices over the stack stay within _SCAN, else bisected),
+    and the exit cut and the arc positions by the statements of _corners'
+    scan path and of _lm_at.  Disks whose own table exceeds _SCAN, which
+    _corners cuts on its search path, are scored one at a time.
+    """
+    V3 = np.stack([disk.vertices for disk in disks])
+    B, n = V3.shape[:2]
+    h = n // 2
+    if not np.array_equal(V3[:, h:], -V3[:, :h]):
+        raise GeometryError("_min_lm_many: a ring is not exactly symmetric")
+    if h * n > _SCAN:
+        return np.array([_min_lm(disk) for disk in disks])
+    V = V3.reshape(-1, 2)
+    E = np.concatenate([disk._edge for disk in disks])
+    c = np.concatenate([disk._edge_c for disk in disks])
+    ang = np.stack([disk._ang for disk in disks])
+
+    def key(b, r):
+        # complex numbers sort by real part, then imaginary part, so the
+        # keys (b, angle) put every disk's angle table in one sorted array
+        z = np.empty(r.shape, dtype=complex)
+        z.real = b
+        z.imag = r
+        return z
+
+    keys = key(np.arange(B)[:, None], ang).ravel()
+
+    def cone(b, x, y):
+        # b * n + j with _ang[j] <= r < _ang[j + 1] in disk b's table
+        r = _wrapped_angle(ang[b, 0], x, y)
+        return np.searchsorted(keys, key(b, r), side="right") - 1
+
+    def gauge_of(b, P):
+        x, y = P[..., 0], P[..., 1]
+        J = cone(b, x, y)
+        g = (E[J, 0] * y - E[J, 1] * x) / c[J]
+        return np.where((x == 0.0) & (y == 0.0), 0.0, g)
+
+    b = np.repeat(np.arange(B), h)  # the disk of each row
+    base = b * n
+    Q = V3[:, :h].reshape(-1, 2)
+    j = cone(b, *Q.T) - base
+    if len(Q) * n <= _SCAN:
+        idx = base[:, None] + (j[:, None] + 1 + np.arange(h)) % n
+        lo = np.argmax(gauge_of(b[:, None], V[idx] - Q[:, None, :]) >= 1.0, axis=1)
+    else:
+        lo = _bisect(np.full_like(j, h - 1),
+                     lambda i: gauge_of(b, V[base + (j + 1 + i) % n] - Q) >= 1.0)
+    prev = np.where((lo == 0)[:, None], Q, V[base + (j + lo) % n])
+    d = V[base + (j + 1 + lo) % n] - prev
+    grad = np.stack([disk._grad for disk in disks])
+    x_plus = _cut_all(*(x.reshape(B, h, 2) for x in (prev, d, Q)), grad).reshape(-1, 2)
+    W = gauge_of(np.repeat(np.arange(B), n), E)
+    C = np.concatenate([np.zeros((B, 1)), np.cumsum(W.reshape(B, n), axis=1)], axis=1)
+
+    def arc_pos(x):
+        return _arc_pos(x, cone(b, *x.T), V, E, W, C[:, :-1].ravel())
+
+    lm = np.mod(arc_pos(x_plus) - arc_pos(Q - x_plus), C[b, -1])
+    return lm.reshape(B, h).min(axis=1)
 
 
 def lm(disk: UnitDisk, direction: float) -> float:
@@ -461,6 +549,10 @@ def bounding_parallelogram(disk: UnitDisk, p, q) -> np.ndarray:
     """
     p = as_vec(p)
     q = as_vec(q)
+    d = gauge(disk, q - p)
+    if d <= 1e-14:
+        raise GeometryError("bounding_parallelogram: undefined for a chord "
+                            "of gauge length %.17g" % d)
     body = intersect_translates(disk, p, q)
     X = body.vertices
     d_pq = q - p
@@ -510,6 +602,11 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
     least a full simplex when there is more than one.  Deterministic for
     a fixed seed; the result is never worse than the regular start, and
     its disk is the one the best evaluation scored.
+
+    The starts, and each run's initial simplex (scipy's default, as many
+    rows as the run will evaluate), are scored as stacks by _min_lm_many,
+    which equals _min_lm bit for bit; the optimizer is answered from the
+    stack in its own call order, and every other point is scored alone.
     """
     if k < 3:
         raise ValueError("maxmin_search: need k >= 3")
@@ -522,23 +619,40 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
     starts = [np.zeros(d)] + [rng.normal(0.0, 0.12, size=d) for _ in range(3)]
     state = {"best": -np.inf, "params": None, "disk": None, "evals": 0}
 
-    def objective(x):
-        params = _family_params(x)
-        disk = params.disk()
-        val = _min_lm(disk)
+    def scored(xs):
+        params = [_family_params(x) for x in xs]
+        disks = [p.disk() for p in params]
+        return zip(params, disks, _min_lm_many(disks).tolist())
+
+    def record(params, disk, val):
         state["evals"] += 1
         if val > state["best"]:
             state.update(best=val, params=params, disk=disk)
         return val
 
-    for x0 in starts:
-        objective(x0)
+    for point in scored(starts):
+        record(*point)
     if budget > 0:
         from scipy.optimize import minimize
         runs = max(1, min(len(starts), budget // (d + 2)))
+        maxfev = budget // runs
         for x0 in starts[:runs]:
-            minimize(lambda x: -objective(x), x0, method="Nelder-Mead",
-                     options={"maxfev": budget // runs, "xatol": 1e-4,
-                              "fatol": 1e-7, "adaptive": True})
+            # scipy's default simplex: coordinate i of row i + 1 scaled by
+            # 1.05, or set to 0.00025 where it is 0
+            sim = np.tile(x0, (d + 1, 1))
+            sim[np.arange(1, d + 1), np.arange(d)] = np.where(x0 != 0.0, 1.05 * x0, 0.00025)
+            ready = {x.tobytes(): point for x, point in zip(sim, scored(sim[:maxfev]))}
+
+            def objective(x):
+                point = ready.pop(x.tobytes(), None)
+                if point is None:
+                    params = _family_params(x)
+                    disk = params.disk()
+                    point = params, disk, _min_lm(disk)
+                return -record(*point)
+
+            minimize(objective, x0, method="Nelder-Mead",
+                     options={"maxfev": maxfev, "initial_simplex": sim,
+                              "xatol": 1e-4, "fatol": 1e-7, "adaptive": True})
     return MaxMinResult(params=state["params"], objective=float(state["best"]),
                         evaluations=state["evals"], disk=state["disk"])

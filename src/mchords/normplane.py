@@ -406,6 +406,10 @@ def gauge(disk: UnitDisk, v) -> float:
 
 def unit_vectors(disk: UnitDisk, thetas) -> np.ndarray:
     th = np.asarray(thetas, dtype=float)
+    finite = np.isfinite(th)
+    if not finite.all():
+        raise ValueError("unit_vectors: direction must be finite, got %r"
+                         % float(th[~finite][0]))
     d = np.stack([np.cos(th), np.sin(th)], axis=-1)
     g = gauge_many(disk, d)
     return d / g[..., None]

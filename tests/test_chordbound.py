@@ -424,6 +424,12 @@ def test_bounding_parallelogram_square():
     assert abs(perimeter(sq, P[[0, 1, 3, 2]]) - 6.0) <= 1e-12
 
 
+def test_bounding_parallelogram_refuses_a_zero_chord():
+    for q in ((0.2, 0.1), (0.2, 0.1 + 1e-15)):
+        with pytest.raises(GeometryError, match="gauge length"):
+            bounding_parallelogram(UnitDisk.square(), (0.2, 0.1), q)
+
+
 def test_bounding_parallelogram_certificate_random():
     # containment plus the translate identity force the lens half-perimeter
     # under 3: the parallelogram has sides 2s and 1 with s <= 1

@@ -3,7 +3,9 @@
 A family point is built from k edge vectors whose angles rise over less
 than half a turn, so every point is a convex disk with no repair.  The
 half-cut square of min lm 13/6 is a family point, and maxmin_search is
-pinned bit for bit to results recorded in maxmin_pinned.json.
+pinned bit for bit to results recorded in maxmin_pinned.json.  Its
+stacked scorer, _min_lm_many, equals _min_lm bit for bit, and the search
+equals a one-disk-at-a-time reference.
 """
 
 import json
@@ -13,9 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from mchords import DiskFamilyParams
-from mchords.chordbound import _family_params, _lm_at, _min_lm, maxmin_search
+from mchords import DiskFamilyParams, UnitDisk
+from mchords import chordbound
+from mchords.chordbound import (_SCAN, _family_params, _lm_at, _min_lm,
+                                _min_lm_many, maxmin_search)
+from mchords.errors import GeometryError
 
 PINNED = json.loads((Path(__file__).with_name("maxmin_pinned.json")).read_text())
 
@@ -65,3 +71,99 @@ def test_maxmin_search_is_pinned(case):
     assert res.params.radii.max() == 1.0
     disk = DiskFamilyParams(np.array(case["vertices"])).disk()
     assert np.array_equal(disk.vertices, res.disk.vertices)
+
+
+def _regular(k):
+    th = np.arange(k) * (math.pi / k)
+    half = np.stack([np.cos(th), np.sin(th)], axis=1)
+    return UnitDisk.polygon(np.concatenate([half, -half]))
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_stacked_min_lm_equals_min_lm_bit_for_bit(monkeypatch):
+    # bisections counts the stacks whose bracket was bisected; a single
+    # disk's table is always scanned here, as k <= 64
+    bisect = chordbound._bisect
+    bisections = []
+
+    def counted(hi, test):
+        bisections.append(len(hi))
+        return bisect(hi, test)
+
+    monkeypatch.setattr(chordbound, "_bisect", counted)
+
+    def check(disks, bisects):
+        want = [_min_lm(disk) for disk in disks]
+        bisections.clear()
+        assert _bits(_min_lm_many(disks)) == _bits(want)
+        assert bool(bisections) == bisects
+
+    rng = np.random.default_rng(11)
+    for k in range(3, 65):
+        # the regular 2k-gon has unit chords, so flat stretches of the
+        # boundary at distance 1, when 3 divides k
+        disks = [_regular(k)] + [_family_params(rng.normal(0.0, sigma, 2 * k)).disk()
+                                 for sigma in (0.0, 0.1, 0.5, 1.0, 3.0, 10.0)
+                                 for _ in range(3)]
+        check(disks, len(disks) * k * 2 * k > _SCAN)
+    # stacks at the largest size whose gauge table is scanned, and one more
+    for k in (8, 32, 64):
+        m = _SCAN // (k * 2 * k)
+        disks = [_regular(k)] + [_family_params(rng.normal(0.0, 1.0, 2 * k)).disk()
+                                 for _ in range(m)]
+        check(disks[:m], False)
+        check(disks, True)
+    half = np.array([[-0.5, -1.0], [0.5, -1.0], [1.0, -0.5], [1.0, 0.5]])
+    half_cut = UnitDisk.polygon(np.concatenate([half, -half]))
+    check([half_cut, _regular(4), half_cut], False)
+
+
+def test_stacked_min_lm_needs_exactly_symmetric_rings():
+    th = np.arange(10) * (math.pi / 5)
+    ring = np.stack([np.cos(th), np.sin(th)], axis=1)
+    assert not np.array_equal(ring[5:], -ring[:5])  # within the disk's 1e-12
+    with pytest.raises(GeometryError, match="symmetric"):
+        _min_lm_many([_regular(5), UnitDisk.polygon(ring)])
+
+
+def _maxmin_one_at_a_time(k, budget, seed):
+    """maxmin_search scoring one disk per call, with scipy's own initial
+    simplex: the search before its starts and simplices were stacked."""
+    rng = np.random.default_rng(seed)
+    d = 2 * k
+    starts = [np.zeros(d)] + [rng.normal(0.0, 0.12, size=d) for _ in range(3)]
+    state = {"best": -np.inf, "params": None, "disk": None, "evals": 0}
+
+    def objective(x):
+        params = _family_params(x)
+        disk = params.disk()
+        val = _min_lm(disk)
+        state["evals"] += 1
+        if val > state["best"]:
+            state.update(best=val, params=params, disk=disk)
+        return val
+
+    for x0 in starts:
+        objective(x0)
+    if budget > 0:
+        runs = max(1, min(len(starts), budget // (d + 2)))
+        for x0 in starts[:runs]:
+            minimize(lambda x: -objective(x), x0, method="Nelder-Mead",
+                     options={"maxfev": budget // runs, "xatol": 1e-4,
+                              "fatol": 1e-7, "adaptive": True})
+    return state
+
+
+@pytest.mark.parametrize("k", [3, 8, 16])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_maxmin_search_equals_one_disk_at_a_time(k, seed):
+    for budget in (0, 1, 2 * k, 2 * k + 1, 2 * k + 2, 4 * (2 * k + 2), 200):
+        res = maxmin_search(k, budget, seed=seed)
+        ref = _maxmin_one_at_a_time(k, budget, seed)
+        assert float(res.objective).hex() == float(ref["best"]).hex(), budget
+        assert res.evaluations == ref["evals"], budget
+        assert res.params.vertices.tobytes() == ref["params"].vertices.tobytes(), budget
+        assert res.disk.vertices.tobytes() == ref["disk"].vertices.tobytes(), budget

@@ -364,6 +364,17 @@ def test_non_finite_and_negative_inputs_exit_2(tmp_path, capsys):
     assert "anchor row 1" in capsys.readouterr().err
 
 
+def test_non_finite_directions_exit_2_without_warnings(capsys):
+    for argv in (["hexagon", "--disk", "builtin:square", "--dir=inf"],
+                 ["reuleaux", "--disk", "builtin:square", "--dir=nan"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(
+            "error: unit_vectors: direction must be finite"), argv
+
+
 def test_unbounded_involute_and_bisector_ranges_exit_2(capsys):
     # refused before any work: no numpy warning, and the error names the range
     calls = [(["involute", "--base", "builtin:euclidean", "--point", "0,-1",

@@ -61,6 +61,17 @@ def test_unit_vector_examples():
     assert np.allclose(unit_vector(hx, math.pi / 2), (0.0, SQRT3 / 2), atol=1e-12)
 
 
+def test_unit_vectors_refuse_non_finite_directions():
+    sq = UnitDisk.square()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (math.inf, -math.inf, math.nan):
+            for call in (lambda: unit_vector(sq, theta),
+                         lambda: unit_vectors(sq, np.array([0.3, theta]))):
+                with pytest.raises(ValueError, match="direction must be finite, got %r" % theta):
+                    call()
+
+
 def test_unit_vector_gauge_one():
     for disk in builtin_disks(1024).values():
         th = np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False)
