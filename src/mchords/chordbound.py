@@ -105,9 +105,67 @@ class MaxMinResult:
 _SCAN = 1 << 14  # rows * vertices up to which _corners scans whole tables
 
 
-def _corners(disk: UnitDisk, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """For each row U on the boundary of M and each row W, the first
-    boundary point x CCW from U with gauge(x - W) = 1.
+class _Stack:
+    """The tables of B disks with one vertex count n, laid end to end: row
+    b * n + j of V, E and grad is vertex j, edge j and the gauge's
+    gradient on cone j of disk b.  A query of m rows gives m / B
+    consecutive rows to each disk, in order, and names each row's disk by
+    base = b * n.  One disk is the stack of B = 1.
+
+    cone(base, x, y) is the cone j of each direction (x, y) by _wedge_of's
+    rule in its disk's own table, and gauge(base, P) the gauge_many of each
+    row of P (..., 2); base broadcasts against them.  One disk keeps its
+    own tables, _wedge_of and gauge_many; a stack finds every cone by one
+    searchsorted over the complex keys (b * n, angle), which sort by disk,
+    then angle.
+    """
+
+    __slots__ = ("B", "n", "bases", "V", "E", "grad", "cone", "gauge")
+
+    def __init__(self, disks):
+        self.B = B = len(disks)
+        self.n = n = len(disks[0].vertices)
+        self.bases = np.arange(B) * n
+        if B == 1:
+            disk, = disks
+            self.V, self.E, self.grad = disk.vertices, disk._edge, disk._grad
+            self.cone = lambda base, x, y: _wedge_of(disk, x, y)
+            self.gauge = lambda base, P: gauge_many(disk, P)
+            return
+        self.V, self.E, c, self.grad = (
+            np.concatenate([getattr(disk, a) for disk in disks])
+            for a in ("vertices", "_edge", "_edge_c", "_grad"))
+        ang = np.stack([disk._ang for disk in disks])
+        keys = _key(self.bases[:, None], ang).ravel()
+
+        def cone(base, x, y):
+            r = _wrapped_angle(ang[base // n, 0], x, y)
+            return np.searchsorted(keys, _key(base, r), side="right") - 1 - base
+
+        def gauge(base, P):
+            x, y = P[..., 0], P[..., 1]
+            J = base + cone(base, x, y)
+            g = (self.E[J, 0] * y - self.E[J, 1] * x) / c[J]
+            return np.where((x == 0.0) & (y == 0.0), 0.0, g)
+
+        self.cone, self.gauge = cone, gauge
+
+    def rows(self, m: int) -> np.ndarray:
+        """base = b * n of each of m query rows."""
+        return self.bases.repeat(m // self.B)
+
+
+def _key(b, r):
+    # complex numbers sort by real part, then imaginary part
+    z = np.empty(r.shape, dtype=complex)
+    z.real = b
+    z.imag = r
+    return z
+
+
+def _corners(T: _Stack, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """For each row U on the boundary of its disk M in the stack T and
+    each row W, the first boundary point x CCW from U with gauge(x - W) = 1.
 
     Callers pass W = c U with 0 < c < 2, so gauge(U - W) = |1 - c| < 1,
     while the last candidate vertex, -V[j] with U on edge j, lies at
@@ -119,11 +177,15 @@ def _corners(disk: UnitDisk, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     so its ratio is >= t*, attained by the facet of the cone holding the
     exit point.
 
-    Tables of up to _SCAN entries (rows * vertices), about where the two
-    paths cost the same, are scanned whole: every candidate vertex, then
-    every facet.  That takes the single-row calls and the sweeps of small
-    polygons.  Larger tables, such as fine disks' sweeps, search, in
-    O(log n) steps per row:
+    Tables of up to _SCAN entries, about where the two paths cost the
+    same, are scanned whole: the bracket (every candidate vertex) when
+    rows times vertices times disks stay within it, the cut (every facet)
+    when each disk's own rows times vertices do.  The bracket counts the
+    disks again because a stack's cone lookup searches the keys of all
+    of them, which makes its scan dearer per entry.  That takes the
+    single-row calls, the sweeps of small polygons and the cuts of
+    maxmin_search's stacks.  Larger tables, such as fine disks' sweeps
+    and large stacks' brackets, search, in O(log n) steps per row:
 
     - the bracket.  By the monotonicity lemma of Minkowski geometry the
       distance from U grows as a point moves along the boundary towards
@@ -141,31 +203,33 @@ def _corners(disk: UnitDisk, U: np.ndarray, W: np.ndarray) -> np.ndarray:
 
     The two paths agree to rounding, except where a flat stretch of the
     boundary lies at distance 1 from W: rounding then decides which of
-    its points is "first", and the paths may return different ones.
+    its points is "first", and the paths may return different ones.  A
+    disk's rows are cut in a stack as alone; their bracket may take the
+    other path, which found the same vertex in every test, flat
+    stretches included, so a disk scores the same bits in a stack.
     """
-    V = disk.vertices
-    n = len(V)
-    j = _wedge_of(disk, *U.T)
-    scan = len(U) * n <= _SCAN
-    if scan:
-        idx = (j[:, None] + 1 + np.arange(n // 2)) % n
-        lo = np.argmax(gauge_many(disk, V[idx] - W[:, None, :]) >= 1.0, axis=1)
+    V, n = T.V, T.n
+    base = T.rows(len(U))
+    j = T.cone(base, *U.T)
+    if len(U) * n * T.B <= _SCAN:
+        idx = base[:, None] + (j[:, None] + 1 + np.arange(n // 2)) % n
+        lo = np.argmax(T.gauge(base[:, None], V[idx] - W[:, None, :]) >= 1.0, axis=1)
     else:
         lo = _bisect(np.full_like(j, n // 2 - 1),
-                     lambda i: gauge_many(disk, V[(j + 1 + i) % n] - W) >= 1.0)
-    prev = np.where((lo == 0)[:, None], U, V[(j + lo) % n])
-    d = V[(j + 1 + lo) % n] - prev
-    if scan:
-        return _cut_all(prev, d, W, disk._grad)
+                     lambda i: T.gauge(base, V[base + (j + 1 + i) % n] - W) >= 1.0)
+    prev = np.where((lo == 0)[:, None], U, V[base + (j + lo) % n])
+    d = V[base + (j + 1 + lo) % n] - prev
+    if len(U) // T.B * n <= _SCAN:
+        return _cut_all(T, prev, d, W)
     a = prev - W
-    jb = _wedge_of(disk, *(a + d).T)
-    ja = np.where((a == 0.0).all(axis=1), jb, _wedge_of(disk, *a.T))
+    jb = T.cone(base, *(a + d).T)
+    ja = np.where((a == 0.0).all(axis=1), jb, T.cone(base, *a.T))
     s = np.where(_cross(a, d) < 0.0, -1, 1)
     # rays crossed in order: vertex ja + 1 + i CCW, ja - i CW; the first
     # on the origin's side (i = L for none) ends the exit cone
     ex = _bisect(s * (jb - ja) % n,
-                 lambda i: s * _cross(d, V[(ja + s * i + (s > 0)) % n] - a) > 0.0)
-    g = disk._grad[((ja + s * ex)[:, None] + np.array([-1, 0, 1])) % n]
+                 lambda i: s * _cross(d, V[base + (ja + s * i + (s > 0)) % n] - a) > 0.0)
+    g = T.grad[base[:, None] + ((ja + s * ex)[:, None] + np.array([-1, 0, 1])) % n]
     return _cut(prev, d, np.einsum("ij,ikj->ik", d, g),
                 1.0 - np.einsum("ij,ikj->ik", a, g))
 
@@ -182,13 +246,13 @@ def _bisect(hi: np.ndarray, test) -> np.ndarray:
     return lo
 
 
-def _cut_all(prev, d, W, grad):
-    """_cut by every facet of the disk: rows (m, 2) with its (n, 2)
-    gradients, or a stack of rows (B, m, 2) with the (B, n, 2) gradients
-    of the B disks, each cut by its own."""
+def _cut_all(T: _Stack, prev, d, W):
+    """_cut of each row by every facet of its disk in the stack T: the
+    rows (m, 2) as (B, m / B, 2) against the (B, 2, n) gradients."""
     # leave M from prev - W along d: gauge(w) = max_j <w, grad_j>
-    gT = np.swapaxes(grad, -1, -2)
-    return _cut(prev, d, d @ gT, 1.0 - (prev - W) @ gT)
+    gT = T.grad.reshape(T.B, T.n, 2).swapaxes(1, 2)
+    prev, d, W = (x.reshape(T.B, -1, 2) for x in (prev, d, W))
+    return _cut(prev, d, d @ gT, 1.0 - (prev - W) @ gT).reshape(-1, 2)
 
 
 def _cut(prev, d, den, num):
@@ -219,7 +283,7 @@ def _lens_corners(disk: UnitDisk, w: np.ndarray, d: float):
     """(x_plus, x_minus) of the lens M Intersect (w + M), gauge(w) = d in
     (0, 2): the lens is symmetric about w/2, and x_plus is the first
     boundary point CCW from w/d at gauge distance 1 from w."""
-    x_plus = _corners(disk, (w / d)[None, :], w[None, :])[0]
+    x_plus = _corners(_Stack([disk]), (w / d)[None, :], w[None, :])[0]
     return x_plus, w - x_plus
 
 
@@ -271,31 +335,29 @@ def perimeter(disk: UnitDisk, body) -> float:
     return float(gauge_many(disk, E).sum())
 
 
-def _lm_at(disk: UnitDisk, q: np.ndarray) -> np.ndarray:
-    """lm for each row q on the boundary of M, from the boundary arc.
+def _lm_at(T: _Stack, q: np.ndarray) -> np.ndarray:
+    """lm for each row q on the boundary of its disk M in the stack T,
+    from the boundary arc.
 
     The lens M Intersect (q + M) is symmetric about q/2, so half its
     perimeter is the M-length of the CCW arc of the boundary of M from
-    x_minus = q - x_plus to x_plus, with x_plus = _corners(q, q).
+    x_minus = q - x_plus to x_plus, with x_plus = _corners(q, q).  The
+    arc length from vertex 0 to a point in cone j is the edge gauges
+    summed up to vertex j plus the point's fraction of edge j's gauge.
     """
-    V = disk.vertices
-    E = disk._edge
-    W = gauge_many(disk, E)
-    C = np.concatenate([[0.0], np.cumsum(W)])  # arc length up to vertex i
-    x_plus = _corners(disk, q, q)
+    V, E, B = T.V, T.E, T.B
+    W = T.gauge(T.rows(len(E)), E)
+    C = np.concatenate([np.zeros((B, 1)), np.cumsum(W.reshape(B, -1), axis=1)], axis=1)
+    start = C[:, :-1].ravel()  # arc length up to vertex j of each disk
+    base = T.rows(len(q))
+    x_plus = _corners(T, q, q)
 
     def arc_pos(x):
-        return _arc_pos(x, _wedge_of(disk, *x.T), V, E, W, C)
+        J = base + T.cone(base, *x.T)
+        s = np.einsum("ij,ij->i", x - V[J], E[J]) / np.einsum("ij,ij->i", E[J], E[J])
+        return start[J] + s * W[J]
 
-    return np.mod(arc_pos(x_plus) - arc_pos(q - x_plus), C[-1])
-
-
-def _arc_pos(x, j, V, E, W, C):
-    """M-length of the boundary arc from vertex 0 to each row x, where x
-    lies in cone j: V and E are the vertices and edge vectors, W the edge
-    gauges and C the arc length up to each vertex."""
-    s = np.einsum("ij,ij->i", x - V[j], E[j]) / np.einsum("ij,ij->i", E[j], E[j])
-    return C[j] + s * W[j]
+    return np.mod(arc_pos(x_plus) - arc_pos(q - x_plus), C[:, -1].repeat(len(q) // B))
 
 
 def _min_lm(disk: UnitDisk) -> float:
@@ -309,80 +371,19 @@ def _min_lm(disk: UnitDisk) -> float:
     negation are.  On a sampled disk this is the minimum over the samples,
     which may lie below the smooth body's.
     """
-    V = disk.vertices
-    h = len(V) // 2
-    if not np.array_equal(V[h:], -V[:h]):
-        raise GeometryError("_min_lm: the ring is not exactly symmetric")
-    return float(_lm_at(disk, V[:h]).min())
+    return float(_min_lm_many([disk])[0])
 
 
 def _min_lm_many(disks) -> np.ndarray:
-    """_min_lm of each of a list of disks with one vertex count, bit for
-    bit, in one vectorised pass over their tables laid end to end: row
-    b * n + j of a table is row j of disk b's.
-
-    Each disk's own rule holds throughout: cones are found by _wedge_of's
-    rule, the bracket by _corners' (the whole gauge table is scanned when
-    rows times vertices over the stack stay within _SCAN, else bisected),
-    and the exit cut and the arc positions by the statements of _corners'
-    scan path and of _lm_at.  Disks whose own table exceeds _SCAN, which
-    _corners cuts on its search path, are scored one at a time.
-    """
-    V3 = np.stack([disk.vertices for disk in disks])
-    B, n = V3.shape[:2]
-    h = n // 2
-    if not np.array_equal(V3[:, h:], -V3[:, :h]):
-        raise GeometryError("_min_lm_many: a ring is not exactly symmetric")
-    if h * n > _SCAN:
-        return np.array([_min_lm(disk) for disk in disks])
-    V = V3.reshape(-1, 2)
-    E = np.concatenate([disk._edge for disk in disks])
-    c = np.concatenate([disk._edge_c for disk in disks])
-    ang = np.stack([disk._ang for disk in disks])
-
-    def key(b, r):
-        # complex numbers sort by real part, then imaginary part, so the
-        # keys (b, angle) put every disk's angle table in one sorted array
-        z = np.empty(r.shape, dtype=complex)
-        z.real = b
-        z.imag = r
-        return z
-
-    keys = key(np.arange(B)[:, None], ang).ravel()
-
-    def cone(b, x, y):
-        # b * n + j with _ang[j] <= r < _ang[j + 1] in disk b's table
-        r = _wrapped_angle(ang[b, 0], x, y)
-        return np.searchsorted(keys, key(b, r), side="right") - 1
-
-    def gauge_of(b, P):
-        x, y = P[..., 0], P[..., 1]
-        J = cone(b, x, y)
-        g = (E[J, 0] * y - E[J, 1] * x) / c[J]
-        return np.where((x == 0.0) & (y == 0.0), 0.0, g)
-
-    b = np.repeat(np.arange(B), h)  # the disk of each row
-    base = b * n
-    Q = V3[:, :h].reshape(-1, 2)
-    j = cone(b, *Q.T) - base
-    if len(Q) * n <= _SCAN:
-        idx = base[:, None] + (j[:, None] + 1 + np.arange(h)) % n
-        lo = np.argmax(gauge_of(b[:, None], V[idx] - Q[:, None, :]) >= 1.0, axis=1)
-    else:
-        lo = _bisect(np.full_like(j, h - 1),
-                     lambda i: gauge_of(b, V[base + (j + 1 + i) % n] - Q) >= 1.0)
-    prev = np.where((lo == 0)[:, None], Q, V[base + (j + lo) % n])
-    d = V[base + (j + 1 + lo) % n] - prev
-    grad = np.stack([disk._grad for disk in disks])
-    x_plus = _cut_all(*(x.reshape(B, h, 2) for x in (prev, d, Q)), grad).reshape(-1, 2)
-    W = gauge_of(np.repeat(np.arange(B), n), E)
-    C = np.concatenate([np.zeros((B, 1)), np.cumsum(W.reshape(B, n), axis=1)], axis=1)
-
-    def arc_pos(x):
-        return _arc_pos(x, cone(b, *x.T), V, E, W, C[:, :-1].ravel())
-
-    lm = np.mod(arc_pos(x_plus) - arc_pos(Q - x_plus), C[b, -1])
-    return lm.reshape(B, h).min(axis=1)
+    """_min_lm of each of a list of disks with one vertex count: one
+    _lm_at over the stack of their first halves.  A disk's value does not
+    depend on the stack it is scored in."""
+    T = _Stack(disks)
+    V = T.V.reshape(T.B, T.n, 2)
+    h = T.n // 2
+    if not np.array_equal(V[:, h:], -V[:, :h]):
+        raise GeometryError("_min_lm: a ring is not exactly symmetric")
+    return _lm_at(T, V[:, :h].reshape(-1, 2)).reshape(T.B, h).min(axis=1)
 
 
 def lm(disk: UnitDisk, direction: float) -> float:
@@ -391,7 +392,7 @@ def lm(disk: UnitDisk, direction: float) -> float:
     direction = float(direction)
     if not math.isfinite(direction):
         raise ValueError("lm: direction must be finite, got %r" % direction)
-    return float(_lm_at(disk, unit_vectors(disk, np.array([direction])))[0])
+    return float(_lm_at(_Stack([disk]), unit_vectors(disk, np.array([direction])))[0])
 
 
 def lm_sweep(disk: UnitDisk, n: int) -> LmProfile:
@@ -405,7 +406,7 @@ def lm_sweep(disk: UnitDisk, n: int) -> LmProfile:
         va = np.mod(np.arctan2(V[:, 1], V[:, 0]), math.pi)
         dirs = np.unique(np.concatenate([dirs, va]))
         dirs = dirs[np.concatenate([[True], np.diff(dirs) > 1e-12])]
-    vals = _lm_at(disk, unit_vectors(disk, dirs))
+    vals = _lm_at(_Stack([disk]), unit_vectors(disk, dirs))
     i0 = int(np.argmin(vals))
     i1 = int(np.argmax(vals))
     return LmProfile(directions=dirs, values=vals,
@@ -424,7 +425,7 @@ def inscribed_hexagon(disk: UnitDisk, p) -> Hexagon:
     along a stretch of the boundary through q (parallel flat pieces).
     """
     p = locate_on_boundary(disk.vertices, p, "inscribed_hexagon: p")[2]
-    q = _corners(disk, p[None, :], p[None, :])[0]
+    q = _corners(_Stack([disk]), p[None, :], p[None, :])[0]
     # Unique when gauge(. - p) grows along the boundary through q: it rises
     # into q in exact arithmetic, but rounding can put q inside a flat
     # stretch, so both sides are tested, on the edges q arrives and leaves
@@ -603,10 +604,12 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
     a fixed seed; the result is never worse than the regular start, and
     its disk is the one the best evaluation scored.
 
-    The starts, and each run's initial simplex (scipy's default, as many
-    rows as the run will evaluate), are scored as stacks by _min_lm_many,
-    which equals _min_lm bit for bit; the optimizer is answered from the
-    stack in its own call order, and every other point is scored alone.
+    Every point is scored by _min_lm_many, which gives each disk the bits
+    of _min_lm: the starts as one stack, each run's initial simplex
+    (scipy's default, as many rows as the run will evaluate) as another,
+    and every later point as a stack of one.  The optimizer is answered
+    from the stacks in its own call order; row 0 of a simplex is its
+    run's start, answered from the start's score.
     """
     if k < 3:
         raise ValueError("maxmin_search: need k >= 3")
@@ -622,7 +625,7 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
     def scored(xs):
         params = [_family_params(x) for x in xs]
         disks = [p.disk() for p in params]
-        return zip(params, disks, _min_lm_many(disks).tolist())
+        return list(zip(params, disks, _min_lm_many(disks).tolist()))
 
     def record(params, disk, val):
         state["evals"] += 1
@@ -630,25 +633,25 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
             state.update(best=val, params=params, disk=disk)
         return val
 
-    for point in scored(starts):
+    scores = scored(starts)
+    for point in scores:
         record(*point)
     if budget > 0:
         from scipy.optimize import minimize
         runs = max(1, min(len(starts), budget // (d + 2)))
         maxfev = budget // runs
-        for x0 in starts[:runs]:
+        for x0, start in zip(starts[:runs], scores):
             # scipy's default simplex: coordinate i of row i + 1 scaled by
-            # 1.05, or set to 0.00025 where it is 0
+            # 1.05, or set to 0.00025 where it is 0; row 0 is the start
             sim = np.tile(x0, (d + 1, 1))
             sim[np.arange(1, d + 1), np.arange(d)] = np.where(x0 != 0.0, 1.05 * x0, 0.00025)
-            ready = {x.tobytes(): point for x, point in zip(sim, scored(sim[:maxfev]))}
+            ready = {x0.tobytes(): start}
+            if maxfev > 1:
+                rows = sim[1:maxfev]
+                ready.update((x.tobytes(), point) for x, point in zip(rows, scored(rows)))
 
             def objective(x):
-                point = ready.pop(x.tobytes(), None)
-                if point is None:
-                    params = _family_params(x)
-                    disk = params.disk()
-                    point = params, disk, _min_lm(disk)
+                point = ready.pop(x.tobytes(), None) or scored([x])[0]
                 return -record(*point)
 
             minimize(objective, x0, method="Nelder-Mead",

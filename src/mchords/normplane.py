@@ -394,9 +394,7 @@ def _wedge_of(disk: UnitDisk, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     holding it: _ang[j] <= r < _ang[j + 1] for its polar angle r from
     _wrapped_angle.  x and y are component arrays of one shape."""
     r = _wrapped_angle(disk._ang[0], x, y)
-    j = np.searchsorted(disk._ang, r, side="right") - 1
-    np.minimum(j, len(disk._ang) - 1, out=j)
-    return j
+    return np.searchsorted(disk._ang, r, side="right") - 1
 
 
 def gauge(disk: UnitDisk, v) -> float:

@@ -15,6 +15,8 @@ Chebyshev norm of highdim, both holding and violating:
 The cone lookup and ray test of the fused kernel are also compared with
 the plain searchsorted lookup of the gauge and its one-sided derivative,
 and the kernel's tables, built once per disk, are checked for reuse.
+Last, lm, one disk at a time and on stacks, is compared with the lens
+perimeter in rational arithmetic on small integer polygons.
 """
 
 import math
@@ -28,11 +30,12 @@ import mchords.curvekit as curvekit
 from mchords import (Polyline, UnitDisk, check_increasing_chords,
                      check_increasing_wrt_set, inscribed_hexagon,
                      reuleaux, reuleaux_two_sides, unit_vector)
+from mchords.chordbound import _Stack, _lm_at, _min_lm_many
 from mchords.highdim import PolylineD, check_increasing_chords_dd, hypercube_curve
 from mchords.normplane import (_cross, _gauge_slopes, _wedge_of,
                                _wrapped_angle, gauge_many)
-from mchords.verify import (near_segment_curve, random_polygon_disk,
-                            random_smooth_disk)
+from mchords.verify import (convex_hull, near_segment_curve,
+                            random_polygon_disk, random_smooth_disk)
 
 import oracles
 
@@ -261,12 +264,17 @@ def thin_polygon(aspect, m=4096):
     return UnitDisk.polygon(np.stack([np.cos(t), aspect * np.sin(t)], axis=1))
 
 
-def exact_cone_gauge(V, j, w):
-    """gauge(w) = s + t for w = s V_j + t V_(j+1), in rational arithmetic,
-    rounded once."""
+def rational_cone_gauge(V, j, w):
+    """gauge(w) = s + t for w = s V_j + t V_(j+1), in rational arithmetic:
+    the facet functional of edge j, which is 1 at both its ends."""
     (ax, ay), (bx, by) = (map(Fraction, V[k % len(V)]) for k in (j, j + 1))
     x, y = map(Fraction, w)
-    return float(((x * by - y * bx) + (ax * y - ay * x)) / (ax * by - ay * bx))
+    return ((x * by - y * bx) + (ax * y - ay * x)) / (ax * by - ay * bx)
+
+
+def exact_cone_gauge(V, j, w):
+    """rational_cone_gauge rounded once."""
+    return float(rational_cone_gauge(V, j, w))
 
 
 def test_cone_lookup_and_ray_test_match_reference():
@@ -415,3 +423,82 @@ def test_tied_witnesses_keep_scan_order():
             + [(n - 1 - ((n - 1 - l) + 1e-6), l, l + 1, l + 1) for l in (29, 27)])
     assert [w.quad for w in rep.witnesses] == want
     assert {w.deficit for w in rep.witnesses} == {2.0}
+
+
+def rational_lens_lm(V, q):
+    """lm(q) in rational arithmetic: half the M-perimeter of the lens
+    M ∩ (q + M) of the polygon V.  The lens is M clipped by the facet
+    half-planes of q + M, and the gauge of an edge is the largest of the
+    facet functionals."""
+    F = [(rational_cone_gauge(V, j, (1, 0)), rational_cone_gauge(V, j, (0, 1)))
+         for j in range(len(V))]
+    qx, qy = map(Fraction, q)
+    P = [tuple(map(Fraction, v)) for v in V]
+    for fx, fy in F:
+        out = []
+        for a, b in zip(P, P[1:] + P[:1]):
+            fa = fx * (a[0] - qx) + fy * (a[1] - qy) - 1
+            fb = fx * (b[0] - qx) + fy * (b[1] - qy) - 1
+            if fa <= 0:
+                out.append(a)
+            if fa * fb < 0:
+                t = fa / (fa - fb)
+                out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+        P = out
+    return sum(max(fx * (b[0] - a[0]) + fy * (b[1] - a[1]) for fx, fy in F)
+               for a, b in zip(P, P[1:] + P[:1])) / 2
+
+
+def integer_polygon_disk(rng, m, xmax, ymax):
+    """The hull of m seeded integer points of [-xmax, xmax] x [-ymax, ymax]
+    and their negations (thin when ymax << xmax), drawn again until it
+    has an interior; exactly symmetric, with no collinear vertices."""
+    while True:
+        P = np.stack([rng.integers(-xmax, xmax + 1, m),
+                      rng.integers(-ymax, ymax + 1, m)], axis=1)
+        hull = convex_hull(np.concatenate([P, -P]))
+        if len(hull) >= 4:
+            return UnitDisk.polygon(hull)
+
+
+def test_lm_matches_the_rational_lens_perimeter():
+    # integer polygons, round and thin, at their vertices and at dyadic
+    # points of their edges, all exact in floats; _lm_at one disk at a
+    # time, _min_lm_many on stacks of the disks with one vertex count.
+    # The square at the midpoint (1, 0) of an edge has a flat stretch of
+    # its boundary at distance exactly 1 from q, and so does the affinely
+    # regular hexagon; the half-cut square, doubled, has lm 13/6 at its
+    # vertices and 7/3 at (2, 0).  Measured before setting the bounds: at
+    # most 3.3 ulps on these round disks and 5.1 on the thin ones, and
+    # over 12 other seeded sets of 42 disks 5.0 and 41 (a thin disk's arc
+    # positions lose digits to its long edges)
+    half_cut = UnitDisk.polygon([(2, -1), (2, 1), (1, 2), (-1, 2),
+                                 (-2, 1), (-2, -1), (-1, -2), (1, -2)])
+    assert rational_lens_lm(half_cut.vertices, (2, 1)) == Fraction(13, 6)
+    assert rational_lens_lm(half_cut.vertices, (2, 0)) == Fraction(7, 3)
+    hexagon = UnitDisk.polygon([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
+    disks = [(UnitDisk.square(), False), (half_cut, False), (hexagon, False)]
+    rng = np.random.default_rng(287)
+    for xmax, ymax in ((3, 3), (6, 6), (20, 20), (40, 40), (60, 1), (300, 2), (5000, 1)):
+        disks += [(integer_polygon_disk(rng, int(rng.integers(2, 13)), xmax, ymax),
+                   ymax < xmax) for _ in range(4)]
+    t = np.array([0.0, 0.125, 0.5, 0.875])
+
+    def ulps(got, exact):
+        return abs(Fraction(float(got)) - exact) / Fraction(math.ulp(float(exact)))
+
+    least = {}
+    for disk, thin in disks:
+        V = disk.vertices
+        Q = (V[:, None, :] + t[None, :, None] * disk._edge[:, None, :]).reshape(-1, 2)
+        exact = [rational_lens_lm(V, q) for q in Q]
+        for got, want in zip(_lm_at(_Stack([disk]), Q), exact):
+            assert ulps(got, want) <= (64 if thin else 8)
+        # Q[::4] are the vertices, and lm(-q) = lm(q)
+        least[disk] = min(exact[:len(Q) // 2:4]), thin
+    for n in sorted({len(disk.vertices) for disk, _ in disks}):
+        stack = [disk for disk, _ in disks if len(disk.vertices) == n]
+        assert len(stack) > 1
+        for disk, got in zip(stack, _min_lm_many(stack)):
+            want, thin = least[disk]
+            assert ulps(got, want) <= (64 if thin else 8)

@@ -5,9 +5,10 @@ import pytest
 from scipy.spatial import HalfspaceIntersection
 
 from mchords import UnitDisk, boundary_arclength, gauge, unit_vector
-from mchords.chordbound import (_SCAN, Hexagon, _arc, _corners, _family_params,
-                                _lm_at, _min_lm, bounding_parallelogram,
-                                inscribed_hexagon, intersect_translates,
+from mchords.chordbound import (_SCAN, Hexagon, _Stack, _arc, _corners,
+                                _family_params, _lm_at, _min_lm,
+                                bounding_parallelogram, inscribed_hexagon,
+                                intersect_translates,
                                 lens_corners, lm, lm_sweep, maxmin_search,
                                 perimeter, reuleaux, reuleaux_two_sides)
 from mchords.curvekit import Polyline, arclength, check_increasing_chords
@@ -138,8 +139,8 @@ def test_corner_search_matches_scan():
         scale = max(1.0, float(np.abs(disk.vertices).max()))
         for c in (0.5, 1.0, 1.5):
             W = c * q
-            X = _corners(disk, q, W)
-            Y = np.concatenate([_corners(disk, q[i:i + rows], W[i:i + rows])
+            X = _corners(_Stack([disk]), q, W)
+            Y = np.concatenate([_corners(_Stack([disk]), q[i:i + rows], W[i:i + rows])
                                 for i in range(0, len(q), rows)])
             assert np.abs(gauge_many(disk, X) - 1.0).max() <= 1e-13
             assert np.abs(gauge_many(disk, X - W) - 1.0).max() <= 1e-13
@@ -527,11 +528,11 @@ def test_min_lm_is_the_minimum_over_every_edge():
     for disk in _polygons_and_family_disks():
         V = disk.vertices
         Q = (V[:, None, :] + t[None, :, None] * disk._edge[:, None, :]).reshape(-1, 2)
-        dense = _lm_at(disk, Q).min()
+        dense = _lm_at(_Stack([disk]), Q).min()
         m = _min_lm(disk)
         assert abs(m - dense) <= 1e-12
         assert m <= dense * (1.0 + 16 * np.finfo(float).eps)
-        vals = _lm_at(disk, V[:len(V) // 2])
+        vals = _lm_at(_Stack([disk]), V[:len(V) // 2])
         i = int(np.argmin(vals))
         assert vals[i] == m
         assert abs(m - oracles.lens_lm(V, math.atan2(V[i, 1], V[i, 0]))) <= 1e-9
@@ -544,7 +545,8 @@ def test_lm_is_concave_along_every_edge():
         a, b = rng.random((2, len(V), 16, 1))
         q0 = V[:, None, :] + a * E[:, None, :]
         q1 = V[:, None, :] + b * E[:, None, :]
-        l0, l1, mid = (_lm_at(disk, q.reshape(-1, 2)) for q in (q0, q1, 0.5 * (q0 + q1)))
+        T = _Stack([disk])
+        l0, l1, mid = (_lm_at(T, q.reshape(-1, 2)) for q in (q0, q1, 0.5 * (q0 + q1)))
         assert (0.5 * (l0 + l1) - mid).max() <= 1e-14
 
 

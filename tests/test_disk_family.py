@@ -4,8 +4,9 @@ A family point is built from k edge vectors whose angles rise over less
 than half a turn, so every point is a convex disk with no repair.  The
 half-cut square of min lm 13/6 is a family point, and maxmin_search is
 pinned bit for bit to results recorded in maxmin_pinned.json.  Its
-stacked scorer, _min_lm_many, equals _min_lm bit for bit, and the search
-equals a one-disk-at-a-time reference.
+stacked scorer, _min_lm_many, equals _min_lm bit for bit, also for disks
+too large to scan alone, the search equals a one-disk-at-a-time
+reference, and it scores each start once.
 """
 
 import json
@@ -19,9 +20,11 @@ from scipy.optimize import minimize
 
 from mchords import DiskFamilyParams, UnitDisk
 from mchords import chordbound
-from mchords.chordbound import (_SCAN, _family_params, _lm_at, _min_lm,
-                                _min_lm_many, maxmin_search)
+from mchords.chordbound import (_SCAN, _Stack, _family_params, _lm_at,
+                                _min_lm, _min_lm_many, maxmin_search)
 from mchords.errors import GeometryError
+
+import oracles
 
 PINNED = json.loads((Path(__file__).with_name("maxmin_pinned.json")).read_text())
 
@@ -39,7 +42,7 @@ def test_the_half_cut_square_is_a_family_point():
     ulp = math.ulp(13.0 / 6.0)
     disk = params.disk()
     assert abs(Fraction(_min_lm(disk)) - Fraction(13, 6)) <= 8 * ulp
-    for v in _lm_at(disk, disk.vertices[:4]):
+    for v in _lm_at(_Stack([disk]), disk.vertices[:4]):
         assert abs(Fraction(float(v)) - Fraction(13, 6)) <= 8 * ulp
 
 
@@ -84,8 +87,9 @@ def _bits(values):
 
 
 def test_stacked_min_lm_equals_min_lm_bit_for_bit(monkeypatch):
-    # bisections counts the stacks whose bracket was bisected; a single
-    # disk's table is always scanned here, as k <= 64
+    # bisections counts the stacks whose bracket was bisected, those whose
+    # rows times vertices times disks exceed _SCAN; up to k = 64 a single
+    # disk's table is scanned
     bisect = chordbound._bisect
     bisections = []
 
@@ -108,10 +112,11 @@ def test_stacked_min_lm_equals_min_lm_bit_for_bit(monkeypatch):
         disks = [_regular(k)] + [_family_params(rng.normal(0.0, sigma, 2 * k)).disk()
                                  for sigma in (0.0, 0.1, 0.5, 1.0, 3.0, 10.0)
                                  for _ in range(3)]
-        check(disks, len(disks) * k * 2 * k > _SCAN)
+        check(disks, len(disks) ** 2 * k * 2 * k > _SCAN)
+        check(disks[:math.isqrt(_SCAN // (k * 2 * k))], False)
     # stacks at the largest size whose gauge table is scanned, and one more
     for k in (8, 32, 64):
-        m = _SCAN // (k * 2 * k)
+        m = math.isqrt(_SCAN // (k * 2 * k))
         disks = [_regular(k)] + [_family_params(rng.normal(0.0, 1.0, 2 * k)).disk()
                                  for _ in range(m)]
         check(disks[:m], False)
@@ -119,6 +124,21 @@ def test_stacked_min_lm_equals_min_lm_bit_for_bit(monkeypatch):
     half = np.array([[-0.5, -1.0], [0.5, -1.0], [1.0, -0.5], [1.0, 0.5]])
     half_cut = UnitDisk.polygon(np.concatenate([half, -half]))
     check([half_cut, _regular(4), half_cut], False)
+    # every disk's own table exceeds _SCAN from k = 91 on, so each is cut
+    # on the search path, in a stack as alone; the family's regular
+    # 2k-gon is pinned at the value recorded before stacks took such disks
+    pinned = {91: 2.094139705112107, 96: 2.09458203331988, 128: 2.0944224049763944}
+    for k, want in pinned.items():
+        assert k * 2 * k > _SCAN
+        disks = [_family_params(rng.normal(0.0, sigma, 2 * k)).disk()
+                 for sigma in (0.0, 0.1, 1.0, 10.0) for _ in range(2)]
+        check(disks, True)
+        vals = _min_lm_many(disks)
+        assert vals[0] == want
+        for disk, val in zip(disks, vals):
+            V = disk.vertices
+            ref = min(oracles.lens_lm(V, math.atan2(y, x)) for x, y in V[:k])
+            assert abs(val - ref) <= 1e-9
 
 
 def test_stacked_min_lm_needs_exactly_symmetric_rings():
@@ -155,6 +175,25 @@ def _maxmin_one_at_a_time(k, budget, seed):
                      options={"maxfev": budget // runs, "xatol": 1e-4,
                               "fatol": 1e-7, "adaptive": True})
     return state
+
+
+def test_maxmin_search_scores_each_start_once(monkeypatch):
+    # row 0 of each run's simplex is the run's start, answered from the
+    # start's score: every evaluation but those rows scores one disk
+    stacked = chordbound._min_lm_many
+    scored = []
+
+    def counted(disks):
+        scored.append(len(disks))
+        return stacked(disks)
+
+    monkeypatch.setattr(chordbound, "_min_lm_many", counted)
+    for k, budget in ((3, 0), (3, 1), (3, 2), (3, 8), (3, 9), (3, 40), (8, 17),
+                      (8, 18), (8, 100), (16, 34), (16, 200)):
+        scored.clear()
+        res = maxmin_search(k, budget, seed=1)
+        runs = max(1, min(4, budget // (2 * k + 2))) if budget else 0
+        assert sum(scored) == res.evaluations - runs, (k, budget)
 
 
 @pytest.mark.parametrize("k", [3, 8, 16])
