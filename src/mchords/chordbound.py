@@ -22,8 +22,8 @@ import numpy as np
 from .errors import GeometryError
 from .normplane import (ConvexBody, UnitDisk, as_vec, gauge, gauge_many,
                         unit_vectors, locate_on_boundary, _cross,
-                        _gauge_slopes, _shift, _vertices_of, _wedge_of,
-                        _wrapped_angle)
+                        _gauge_slopes, _ring_tables, _shift, _vertices_of,
+                        _wedge_of, _wrapped_angle)
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,9 @@ class DiskFamilyParams:
     CCW order over half a turn, the rest being their negations.
 
     radii and angles are the half-vertices' polar coordinates, the radii
-    scaled so that the largest is exactly 1.  maxmin_search builds the
-    half-vertices from k edge vectors (_family_params), so the disk is
-    convex by construction.
+    scaled so that the largest is exactly 1.  The half-vertices come from
+    k edge vectors (_family_rings; _family_params builds one point), so
+    the disk is convex by construction.
     """
     vertices: np.ndarray
 
@@ -110,33 +110,38 @@ class _Stack:
     b * n + j of V, E and grad is vertex j, edge j and the gauge's
     gradient on cone j of disk b.  A query of m rows gives m / B
     consecutive rows to each disk, in order, and names each row's disk by
-    base = b * n.  One disk is the stack of B = 1.
+    base = b * n.
 
     cone(base, x, y) is the cone j of each direction (x, y) by _wedge_of's
     rule in its disk's own table, and gauge(base, P) the gauge_many of each
-    row of P (..., 2); base broadcasts against them.  One disk keeps its
-    own tables, _wedge_of and gauge_many; a stack finds every cone by one
-    searchsorted over the complex keys (b * n, angle), which sort by disk,
-    then angle.
+    row of P (..., 2); base broadcasts against them.  _Stack([disk]) is one
+    disk, with its own tables, _wedge_of and gauge_many.  of_rings(R)
+    stacks the disks on a (B, n, 2) array of rings, whose tables come from
+    the code that builds a UnitDisk's, so no UnitDisk is built; it finds
+    every cone by one searchsorted over the complex keys (b * n, angle),
+    which sort by disk, then angle.
     """
 
-    __slots__ = ("B", "n", "bases", "V", "E", "grad", "cone", "gauge")
+    __slots__ = ("B", "n", "bases", "V", "E", "grad", "cone", "gauge", "owner",
+                 "_arcs")
 
     def __init__(self, disks):
-        self.B = B = len(disks)
-        self.n = n = len(disks[0].vertices)
-        self.bases = np.arange(B) * n
-        if B == 1:
-            disk, = disks
-            self.V, self.E, self.grad = disk.vertices, disk._edge, disk._grad
-            self.cone = lambda base, x, y: _wedge_of(disk, x, y)
-            self.gauge = lambda base, P: gauge_many(disk, P)
-            return
-        self.V, self.E, c, self.grad = (
-            np.concatenate([getattr(disk, a) for disk in disks])
-            for a in ("vertices", "_edge", "_edge_c", "_grad"))
-        ang = np.stack([disk._ang for disk in disks])
-        keys = _key(self.bases[:, None], ang).ravel()
+        disk, = disks
+        self._tables(1, disk.vertices, disk._edge, disk._grad, disk)
+        self.cone = lambda base, x, y: _wedge_of(disk, x, y)
+        self.gauge = lambda base, P: gauge_many(disk, P)
+
+    @classmethod
+    def of_rings(cls, R) -> "_Stack":
+        """The stack of the disks on the rings R (B, n, 2).  Every ring is
+        validated as UnitDisk.polygon validates it, and a bad one raises
+        the error that UnitDisk.polygon raises for it."""
+        V, ang, E, c, grad = _ring_tables(np.asarray(R, dtype=float), "polygon")
+        T = object.__new__(cls)
+        T._tables(len(V), *(a.reshape(-1, 2) for a in (V, E, grad)), T)
+        c = c.ravel()
+        n = T.n
+        keys = _key(T.bases[:, None], ang).ravel()
 
         def cone(base, x, y):
             r = _wrapped_angle(ang[base // n, 0], x, y)
@@ -145,14 +150,34 @@ class _Stack:
         def gauge(base, P):
             x, y = P[..., 0], P[..., 1]
             J = base + cone(base, x, y)
-            g = (self.E[J, 0] * y - self.E[J, 1] * x) / c[J]
+            g = (T.E[J, 0] * y - T.E[J, 1] * x) / c[J]
             return np.where((x == 0.0) & (y == 0.0), 0.0, g)
 
-        self.cone, self.gauge = cone, gauge
+        T.cone, T.gauge = cone, gauge
+        return T
+
+    def _tables(self, B, V, E, grad, owner):
+        self.B, self.n = B, len(V) // B
+        self.bases = np.arange(B) * self.n
+        self.V, self.E, self.grad = V, E, grad
+        self.owner = owner  # keeps arcs(): the lone disk, or the stack
+        self._arcs = None
 
     def rows(self, m: int) -> np.ndarray:
         """base = b * n of each of m query rows."""
         return self.bases.repeat(m // self.B)
+
+    def arcs(self):
+        """(W, start, total) for lm's arc lengths: W the gauge of each edge
+        row, start the arc length from its disk's vertex 0 to the edge's
+        start, total each disk's perimeter.  They depend on the disks
+        alone, so they are built on first use and kept by the owner."""
+        if self.owner._arcs is None:
+            W = self.gauge(self.rows(len(self.E)), self.E)
+            C = np.cumsum(W.reshape(self.B, -1), axis=1)
+            start = np.concatenate([np.zeros((self.B, 1)), C[:, :-1]], axis=1)
+            self.owner._arcs = W, start.ravel(), C[:, -1]
+        return self.owner._arcs
 
 
 def _key(b, r):
@@ -343,12 +368,11 @@ def _lm_at(T: _Stack, q: np.ndarray) -> np.ndarray:
     perimeter is the M-length of the CCW arc of the boundary of M from
     x_minus = q - x_plus to x_plus, with x_plus = _corners(q, q).  The
     arc length from vertex 0 to a point in cone j is the edge gauges
-    summed up to vertex j plus the point's fraction of edge j's gauge.
+    summed up to vertex j plus the point's fraction of edge j's gauge
+    (T.arcs()).
     """
     V, E, B = T.V, T.E, T.B
-    W = T.gauge(T.rows(len(E)), E)
-    C = np.concatenate([np.zeros((B, 1)), np.cumsum(W.reshape(B, -1), axis=1)], axis=1)
-    start = C[:, :-1].ravel()  # arc length up to vertex j of each disk
+    W, start, total = T.arcs()
     base = T.rows(len(q))
     x_plus = _corners(T, q, q)
 
@@ -357,7 +381,7 @@ def _lm_at(T: _Stack, q: np.ndarray) -> np.ndarray:
         s = np.einsum("ij,ij->i", x - V[J], E[J]) / np.einsum("ij,ij->i", E[J], E[J])
         return start[J] + s * W[J]
 
-    return np.mod(arc_pos(x_plus) - arc_pos(q - x_plus), C[:, -1].repeat(len(q) // B))
+    return np.mod(arc_pos(x_plus) - arc_pos(q - x_plus), total.repeat(len(q) // B))
 
 
 def _min_lm(disk: UnitDisk) -> float:
@@ -371,14 +395,21 @@ def _min_lm(disk: UnitDisk) -> float:
     negation are.  On a sampled disk this is the minimum over the samples,
     which may lie below the smooth body's.
     """
-    return float(_min_lm_many([disk])[0])
+    return float(_least_lm(_Stack([disk]))[0])
 
 
-def _min_lm_many(disks) -> np.ndarray:
-    """_min_lm of each of a list of disks with one vertex count: one
-    _lm_at over the stack of their first halves.  A disk's value does not
-    depend on the stack it is scored in."""
-    T = _Stack(disks)
+def _min_lm_many(rings) -> np.ndarray:
+    """_min_lm of the disk on each ring of a (B, n, 2) stack, in one _lm_at
+    pass over the stack of their first halves (_Stack.of_rings, which
+    validates every ring as UnitDisk.polygon does and builds no
+    UnitDisk).  A disk's value does not depend on the stack it is scored
+    in, and equals _min_lm of UnitDisk.polygon(ring) bit for bit."""
+    return _least_lm(_Stack.of_rings(rings))
+
+
+def _least_lm(T: _Stack) -> np.ndarray:
+    """The least lm over the vertex directions of each disk in T, whose
+    rings must be exactly symmetric."""
     V = T.V.reshape(T.B, T.n, 2)
     h = T.n // 2
     if not np.array_equal(V[:, h:], -V[:, :h]):
@@ -570,21 +601,29 @@ def bounding_parallelogram(disk: UnitDisk, p, q) -> np.ndarray:
 
 # -- the MaxMin search ----------------------------------------------------
 
-def _family_params(x: np.ndarray) -> DiskFamilyParams:
-    """The family point of x = (k log-gaps, k log-lengths), each clipped
-    to +-3.  The k edge vectors have lengths exp(x[k:]) and angles that
-    start at 0 and rise by the gaps exp(x[:k]), scaled to total pi, so
-    they increase strictly over a span below pi.  The half-ring starting
-    at -sum(E)/2 then ends where its negation starts, and the mirrored
-    ring, with edges E then -E, is convex: no repair is needed.
+def _family_rings(X: np.ndarray) -> np.ndarray:
+    """The half-rings (B, k, 2) of a batch X (B, 2k) of family points x =
+    (k log-gaps, k log-lengths), each coordinate clipped to +-3.  The k
+    edge vectors have lengths exp(x[k:]) and angles that start at 0 and
+    rise by the gaps exp(x[:k]), scaled to total pi, so they increase
+    strictly over a span below pi.  The half-ring starting at -sum(E)/2
+    then ends where its negation starts, and the mirrored ring, with edges
+    E then -E, is convex: no repair is needed.  The half-ring is scaled so
+    that its largest radius is exactly 1.  Each row's bits do not depend
+    on the batch it is built in.
     """
-    k = len(x) // 2
-    y = np.exp(np.minimum(np.maximum(x, -3.0), 3.0))  # np.clip's result, at less cost
-    g, L = y[:k], y[k:]
-    th = (np.cumsum(g) - g) * (math.pi / g.sum())
-    E = L[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
-    H = np.cumsum(E, axis=0) - E - 0.5 * E.sum(axis=0)
-    return DiskFamilyParams(H / np.hypot(H[:, 0], H[:, 1]).max())
+    k = X.shape[1] // 2
+    y = np.exp(np.minimum(np.maximum(X, -3.0), 3.0))  # np.clip's result, at less cost
+    g, L = y[:, :k], y[:, k:]
+    th = (np.cumsum(g, axis=1) - g) * (math.pi / g.sum(axis=1, keepdims=True))
+    E = L[..., None] * np.stack([np.cos(th), np.sin(th)], axis=-1)
+    H = np.cumsum(E, axis=1) - E - 0.5 * E.sum(axis=1, keepdims=True)
+    return H / np.hypot(H[..., 0], H[..., 1]).max(axis=1)[:, None, None]
+
+
+def _family_params(x: np.ndarray) -> DiskFamilyParams:
+    """The family point of x, the batch of one of _family_rings."""
+    return DiskFamilyParams(_family_rings(np.asarray(x, dtype=float)[None])[0])
 
 
 def maxmin_search(k: int, budget: int, seed: int = 0,
@@ -605,11 +644,13 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
     its disk is the one the best evaluation scored.
 
     Every point is scored by _min_lm_many, which gives each disk the bits
-    of _min_lm: the starts as one stack, each run's initial simplex
-    (scipy's default, as many rows as the run will evaluate) as another,
-    and every later point as a stack of one.  The optimizer is answered
-    from the stacks in its own call order; row 0 of a simplex is its
-    run's start, answered from the start's score.
+    of _min_lm, on the mirrored half-rings of _family_rings: the starts
+    as one stack, each run's initial simplex (scipy's default, as many
+    rows as the run will evaluate) as another, and every later point as a
+    stack of one.  No DiskFamilyParams or UnitDisk is built for a scored
+    point; only the best one's are, at the end.  The optimizer is
+    answered from the stacks in its own call order; row 0 of a simplex is
+    its run's start, answered from the start's score.
     """
     if k < 3:
         raise ValueError("maxmin_search: need k >= 3")
@@ -619,18 +660,17 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
         raise ValueError("maxmin_search: need sweep_n >= 4")
     rng = np.random.default_rng(seed)
     d = 2 * k
-    starts = [np.zeros(d)] + [rng.normal(0.0, 0.12, size=d) for _ in range(3)]
-    state = {"best": -np.inf, "params": None, "disk": None, "evals": 0}
+    starts = np.array([np.zeros(d)] + [rng.normal(0.0, 0.12, size=d) for _ in range(3)])
+    state = {"best": -np.inf, "half": None, "evals": 0}
 
-    def scored(xs):
-        params = [_family_params(x) for x in xs]
-        disks = [p.disk() for p in params]
-        return list(zip(params, disks, _min_lm_many(disks).tolist()))
+    def scored(X):
+        H = _family_rings(X)
+        return list(zip(H, _min_lm_many(np.concatenate([H, -H], axis=1)).tolist()))
 
-    def record(params, disk, val):
+    def record(half, val):
         state["evals"] += 1
         if val > state["best"]:
-            state.update(best=val, params=params, disk=disk)
+            state.update(best=val, half=half)
         return val
 
     scores = scored(starts)
@@ -651,11 +691,12 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
                 ready.update((x.tobytes(), point) for x, point in zip(rows, scored(rows)))
 
             def objective(x):
-                point = ready.pop(x.tobytes(), None) or scored([x])[0]
+                point = ready.pop(x.tobytes(), None) or scored(x[None])[0]
                 return -record(*point)
 
             minimize(objective, x0, method="Nelder-Mead",
                      options={"maxfev": maxfev, "initial_simplex": sim,
                               "xatol": 1e-4, "fatol": 1e-7, "adaptive": True})
-    return MaxMinResult(params=state["params"], objective=float(state["best"]),
-                        evaluations=state["evals"], disk=state["disk"])
+    params = DiskFamilyParams(state["half"].copy())
+    return MaxMinResult(params=params, objective=float(state["best"]),
+                        evaluations=state["evals"], disk=params.disk())

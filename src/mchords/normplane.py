@@ -47,51 +47,93 @@ def _shift(a: np.ndarray, k: int = 1) -> np.ndarray:
     return np.concatenate((a[k:], a[:k]))
 
 
+def _next(R: np.ndarray) -> np.ndarray:
+    """Entries of each ring of the stack R (B, n, ...) moved up by one:
+    entry i of ring b is R[b, (i + 1) % n], _shift along the ring axis."""
+    return np.concatenate((R[:, 1:], R[:, :1]), axis=1)
+
+
 def _validate_symmetric_polygon(V: np.ndarray, what: str) -> None:
     """Reject vertex lists that do not bound an origin-symmetric convex disk
-    with the origin strictly inside.  Diagnostics name the offending vertex."""
-    if V.ndim != 2 or V.shape[1] != 2:
+    with the origin strictly inside.  V is a stack (B, n, 2) of rings, one
+    disk the stack of one.  The rules run in order over the whole stack,
+    and the first ring to break a rule raises; its diagnostics name its
+    offending vertex, as they would for that ring alone."""
+    if V.ndim != 3 or V.shape[2] != 2:
         raise InvalidDiskError("%s: vertices must form an (n, 2) array" % what)
-    n = len(V)
+    n = V.shape[1]
     if n < 4:
         raise InvalidDiskError("%s: need at least 4 vertices, got %d" % (what, n))
     if n % 2 != 0:
         raise InvalidDiskError("%s: symmetric disk needs an even vertex count, got %d" % (what, n))
-    if not np.isfinite(V).all():
-        bad = int(np.where(~np.isfinite(V).all(axis=1))[0][0])
+    finite = np.isfinite(V)
+    if not finite.all():
+        b = int(finite.all(axis=(1, 2)).argmin())
+        bad = int(np.where(~finite[b].all(axis=1))[0][0])
         raise InvalidDiskError("%s: vertex %d is not finite" % (what, bad))
-    scale = float(np.abs(V).max())
-    if scale == 0.0:
+    scale = np.abs(V).max(axis=(1, 2))
+    if not scale.all():
         raise InvalidDiskError("%s: all vertices at the origin" % what)
 
     # origin symmetry: antipodal vertex must sit half a cycle away
     h = n // 2
-    dev = np.abs(V[h:] + V[:h])  # rows i and i + h pair both ways
-    if dev.max() > 1e-12 * max(scale, 1.0):
-        bad = int(np.argmax(dev.max(axis=1)))
+    dev = np.abs(V[:, h:] + V[:, :h])  # rows i and i + h pair both ways
+    fail = dev.max(axis=(1, 2)) > 1e-12 * np.maximum(scale, 1.0)
+    if fail.any():
+        b = int(fail.argmax())
+        bad = int(dev[b].max(axis=1).argmax())
         raise InvalidDiskError(
             "%s: vertex %d (%.17g, %.17g) has no antipode -v in the list"
-            % (what, bad, V[bad, 0], V[bad, 1]))
+            % (what, bad, V[b, bad, 0], V[b, bad, 1]))
 
-    edges = _shift(V) - V
-    elen = np.hypot(edges[:, 0], edges[:, 1])
-    if elen.min() <= 1e-15 * scale:
-        bad = int(np.argmin(elen))
+    edges = _next(V) - V
+    elen = np.hypot(edges[..., 0], edges[..., 1])
+    fail = elen.min(axis=1) <= 1e-15 * scale
+    if fail.any():
+        b = int(fail.argmax())
+        bad = int(elen[b].argmin())
         raise InvalidDiskError("%s: vertices %d and %d coincide" % (what, bad, (bad + 1) % n))
 
-    turn = _cross(edges, _shift(edges))
-    if turn.min() < -1e-12 * scale * scale:
-        bad = int(np.argmin(turn))
+    turn = _cross(edges, _next(edges))
+    fail = turn.min(axis=1) < -1e-12 * scale * scale
+    if fail.any():
+        b = int(fail.argmax())
+        bad = (int(turn[b].argmin()) + 1) % n
         raise InvalidDiskError(
             "%s: right turn at vertex %d (%.17g, %.17g); boundary is not convex and "
-            "counter-clockwise" % (what, (bad + 1) % n, V[(bad + 1) % n, 0], V[(bad + 1) % n, 1]))
+            "counter-clockwise" % (what, bad, V[b, bad, 0], V[b, bad, 1]))
 
     # origin strictly inside: origin left of every directed edge
     c = _cross(edges, V)  # cross(e_i, v_i); origin inside iff all < 0
-    if c.max() >= -1e-15 * scale * scale:
-        bad = int(np.argmax(c))
+    fail = c.max(axis=1) >= -1e-15 * scale * scale
+    if fail.any():
+        b = int(fail.argmax())
+        bad = int(c[b].argmax())
         raise InvalidDiskError(
             "%s: origin is not strictly interior (edge starting at vertex %d)" % (what, bad))
+
+
+def _ring_tables(R: np.ndarray, what: str):
+    """The tables of the disks on a stack R (B, n, 2) of rings, validated
+    by _validate_symmetric_polygon: (V, ang, edge, c, grad), each with the
+    leading axes (B, n).  Each ring is rolled so that its least polar
+    angle comes first, then vertex j has polar angle ang[j], edge j runs
+    from vertex j to vertex j + 1, c[j] = cross(edge j, vertex j) < 0, and
+    the gauge on the cone over edge j is gauge(w) = dot(w, grad[j])."""
+    _validate_symmetric_polygon(R, what)
+    B, n = R.shape[:2]
+    ang = np.arctan2(R[..., 1], R[..., 0])
+    roll = ang.argmin(axis=1)[:, None] + np.arange(n)
+    roll %= n
+    roll += np.arange(0, B * n, n)[:, None]  # rows of the flat stack
+    V = R.reshape(-1, 2).take(roll, axis=0)
+    ang = ang.take(roll)
+    if (ang[:, 1:] <= ang[:, :-1]).any():
+        # cannot happen for a valid disk; guards fp pathologies
+        raise InvalidDiskError("%s: vertex polar angles are not strictly increasing" % what)
+    edge = _next(V) - V
+    c = _cross(edge, V)  # negative for every edge
+    return V, ang, edge, c, edge[..., ::-1] * _LEFT / c[..., None]
 
 
 class UnitDisk:
@@ -111,32 +153,22 @@ class UnitDisk:
     """
 
     __slots__ = ("vertices", "kind", "is_polygonal", "is_strictly_convex",
-                 "_ang", "_edge", "_edge_c", "_grad", "_slopes")
+                 "_ang", "_edge", "_edge_c", "_grad", "_slopes", "_arcs")
 
     def __init__(self, vertices, *, kind: str, is_strictly_convex: bool = False):
-        V = np.array(vertices, dtype=float)
-        _validate_symmetric_polygon(V, what=kind)
-        ang = np.arctan2(V[:, 1], V[:, 0])
-        k = int(np.argmin(ang))
-        V = _shift(V, k)
-        ang = _shift(ang, k)
-        if (ang[1:] <= ang[:-1]).any():
-            # cannot happen for a valid disk; guards fp pathologies
-            raise InvalidDiskError("%s: vertex polar angles are not strictly increasing" % kind)
+        V, ang, edge, c, grad = (t[0] for t in _ring_tables(
+            np.array(vertices, dtype=float)[None], kind))
         V.flags.writeable = False
         self.vertices = V
         self.kind = kind
         self.is_polygonal = kind == "polygon"
         self.is_strictly_convex = bool(is_strictly_convex)
-
-        edges = _shift(V) - V
-        c = _cross(edges, V)  # negative for every edge
         self._ang = ang
-        self._edge = edges
+        self._edge = edge
         self._edge_c = c
-        # gradient of the gauge on the cone over edge j: gauge(w) = dot(w, grad_j)
-        self._grad = edges[:, ::-1] * _LEFT / c[:, None]
+        self._grad = grad
         self._slopes = None  # _gauge_slopes' callback, built on first use
+        self._arcs = None  # chordbound's arc-length table, built on first use
 
     # -- constructors ------------------------------------------------------
 

@@ -499,6 +499,6 @@ def test_lm_matches_the_rational_lens_perimeter():
     for n in sorted({len(disk.vertices) for disk, _ in disks}):
         stack = [disk for disk, _ in disks if len(disk.vertices) == n]
         assert len(stack) > 1
-        for disk, got in zip(stack, _min_lm_many(stack)):
+        for disk, got in zip(stack, _min_lm_many(np.stack([d.vertices for d in stack]))):
             want, thin = least[disk]
             assert ulps(got, want) <= (64 if thin else 8)

@@ -79,6 +79,36 @@ def test_lm_values():
     assert abs(lm(sq, math.pi / 4) - 2.0) <= 1e-9
 
 
+def test_arc_tables_are_built_once_per_disk():
+    # the edge gauges and their running sums are kept on the disk at its
+    # first lm, and on a ring stack at its first _lm_at; every later call
+    # reads the same table and returns the same bits as a fresh disk
+    rng = np.random.default_rng(41)
+    for new_disk in (lambda: UnitDisk.lp(3.0, 1024), UnitDisk.regular_hexagon,
+                     lambda: random_polygon_disk(np.random.default_rng(5))):
+        disk = new_disk()
+        assert disk._arcs is None
+        dirs = rng.uniform(0.0, math.pi, 8)
+        first = [lm(disk, d) for d in dirs]
+        tables = disk._arcs
+        assert tables is not None
+        assert [lm(disk, d) for d in dirs] == first
+        assert lm_sweep(disk, 90).values.tobytes() == lm_sweep(new_disk(), 90).values.tobytes()
+        assert disk._arcs is tables and _Stack([disk]).arcs() is tables
+        assert [lm(new_disk(), d) for d in dirs] == first
+    rings = np.stack([random_polygon_disk(np.random.default_rng(5)).vertices * s
+                      for s in (1.0, 0.5, 3.0)])
+    T = _Stack.of_rings(rings)
+    W, start, total = T.arcs()
+    assert T.arcs() is T.arcs()
+    for b, ring in enumerate(rings):
+        rows = slice(b * len(ring), (b + 1) * len(ring))
+        W1, start1, total1 = _Stack([UnitDisk.polygon(ring)]).arcs()
+        assert W[rows].tobytes() == W1.tobytes()
+        assert start[rows].tobytes() == start1.tobytes()
+        assert total[b] == total1[0]
+
+
 def test_lm_refuses_a_non_finite_direction():
     for d in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="direction"):

@@ -6,7 +6,9 @@ half-cut square of min lm 13/6 is a family point, and maxmin_search is
 pinned bit for bit to results recorded in maxmin_pinned.json.  Its
 stacked scorer, _min_lm_many, equals _min_lm bit for bit, also for disks
 too large to scan alone, the search equals a one-disk-at-a-time
-reference, and it scores each start once.
+reference, and it scores each start once.  The batched family builder
+equals the one-row arithmetic, and a ring stack refuses a bad ring as
+UnitDisk.polygon does.
 """
 
 import json
@@ -20,9 +22,9 @@ from scipy.optimize import minimize
 
 from mchords import DiskFamilyParams, UnitDisk
 from mchords import chordbound
-from mchords.chordbound import (_SCAN, _Stack, _family_params, _lm_at,
-                                _min_lm, _min_lm_many, maxmin_search)
-from mchords.errors import GeometryError
+from mchords.chordbound import (_SCAN, _Stack, _family_params, _family_rings,
+                                _lm_at, _min_lm, _min_lm_many, maxmin_search)
+from mchords.errors import GeometryError, InvalidDiskError
 
 import oracles
 
@@ -62,6 +64,70 @@ def test_family_disks_are_convex_by_construction():
                 assert (np.diff(a) > 0.0).all() and a[-1] - a[0] < math.pi
 
 
+def _family_row(x):
+    """The family point of one x, by the one-row arithmetic the batched
+    builder replaced."""
+    k = len(x) // 2
+    y = np.exp(np.minimum(np.maximum(x, -3.0), 3.0))
+    g, L = y[:k], y[k:]
+    th = (np.cumsum(g) - g) * (math.pi / g.sum())
+    E = L[:, None] * np.stack([np.cos(th), np.sin(th)], axis=1)
+    H = np.cumsum(E, axis=0) - E - 0.5 * E.sum(axis=0)
+    return H / np.hypot(H[:, 0], H[:, 1]).max()
+
+
+def test_family_rings_equal_family_params_row_by_row():
+    # each row's bytes do not depend on the batch, and equal the one-row
+    # arithmetic; sigma 10 and the rows of +-3 and +-5 clip coordinates
+    rng = np.random.default_rng(23)
+    for k in range(3, 65):
+        X = np.concatenate([rng.normal(0.0, sigma, (3, 2 * k))
+                            for sigma in np.linspace(0.0, 10.0, 6)])
+        X = np.concatenate([X, np.full((1, 2 * k), 3.0), np.full((1, 2 * k), -5.0),
+                            rng.choice([-5.0, -3.0, 3.0, 5.0], (2, 2 * k))])
+        assert (np.abs(X) > 3.0).any()
+        H = _family_rings(X)
+        assert H.shape == (len(X), k, 2)
+        for x, h in zip(X, H):
+            assert h.tobytes() == _family_params(x).vertices.tobytes()
+            assert h.tobytes() == _family_row(x).tobytes()
+
+
+def _bad_rings(ring):
+    """(words of its error, ring) for each rule UnitDisk.polygon enforces,
+    from a good ring of 12 vertices."""
+    h = len(ring) // 2
+    nan = ring.copy()
+    nan[3, 1] = np.nan
+    moved = ring.copy()
+    moved[h + 2] += 1e-6
+    repeated = ring.copy()
+    repeated[[4, h + 4]] = repeated[[3, h + 3]]
+    dented = ring.copy()
+    dented[[3, h + 3]] *= 0.5
+    line = np.arange(1.0, h + 1.0)[:, None] * np.array([1.0, 0.5])
+    flat = np.concatenate([line, -line])
+    return [("is not finite", nan), ("has no antipode", moved), ("coincide", repeated),
+            ("right turn", dented), ("origin is not strictly interior", flat)]
+
+
+def test_a_bad_ring_in_a_stack_raises_as_unit_disk_polygon():
+    rng = np.random.default_rng(31)
+    good = _family_rings(rng.normal(0.0, 0.3, (4, 12)))
+    rings = np.concatenate([good, -good], axis=1)
+    for what, bad in _bad_rings(rings[1]):
+        with pytest.raises(InvalidDiskError, match=what) as alone:
+            UnitDisk.polygon(bad)
+        for at in (1, 2, 3):
+            stack = rings.copy()
+            stack[at] = bad
+            for build in (_Stack.of_rings, _min_lm_many):
+                with pytest.raises(InvalidDiskError) as stacked:
+                    build(stack)
+                assert type(stacked.value) is type(alone.value), what
+                assert str(stacked.value) == str(alone.value), what
+
+
 @pytest.mark.parametrize("case", PINNED, ids=lambda c: "k%d-b%d-s%d" % (
     c["k"], c["budget"], c["seed"]))
 def test_maxmin_search_is_pinned(case):
@@ -80,6 +146,10 @@ def _regular(k):
     th = np.arange(k) * (math.pi / k)
     half = np.stack([np.cos(th), np.sin(th)], axis=1)
     return UnitDisk.polygon(np.concatenate([half, -half]))
+
+
+def _rings(disks):
+    return np.stack([disk.vertices for disk in disks])
 
 
 def _bits(values):
@@ -102,7 +172,7 @@ def test_stacked_min_lm_equals_min_lm_bit_for_bit(monkeypatch):
     def check(disks, bisects):
         want = [_min_lm(disk) for disk in disks]
         bisections.clear()
-        assert _bits(_min_lm_many(disks)) == _bits(want)
+        assert _bits(_min_lm_many(_rings(disks))) == _bits(want)
         assert bool(bisections) == bisects
 
     rng = np.random.default_rng(11)
@@ -133,7 +203,7 @@ def test_stacked_min_lm_equals_min_lm_bit_for_bit(monkeypatch):
         disks = [_family_params(rng.normal(0.0, sigma, 2 * k)).disk()
                  for sigma in (0.0, 0.1, 1.0, 10.0) for _ in range(2)]
         check(disks, True)
-        vals = _min_lm_many(disks)
+        vals = _min_lm_many(_rings(disks))
         assert vals[0] == want
         for disk, val in zip(disks, vals):
             V = disk.vertices
@@ -146,7 +216,7 @@ def test_stacked_min_lm_needs_exactly_symmetric_rings():
     ring = np.stack([np.cos(th), np.sin(th)], axis=1)
     assert not np.array_equal(ring[5:], -ring[:5])  # within the disk's 1e-12
     with pytest.raises(GeometryError, match="symmetric"):
-        _min_lm_many([_regular(5), UnitDisk.polygon(ring)])
+        _min_lm_many(_rings([_regular(5), UnitDisk.polygon(ring)]))
 
 
 def _maxmin_one_at_a_time(k, budget, seed):
@@ -183,9 +253,9 @@ def test_maxmin_search_scores_each_start_once(monkeypatch):
     stacked = chordbound._min_lm_many
     scored = []
 
-    def counted(disks):
-        scored.append(len(disks))
-        return stacked(disks)
+    def counted(rings):
+        scored.append(len(rings))
+        return stacked(rings)
 
     monkeypatch.setattr(chordbound, "_min_lm_many", counted)
     for k, budget in ((3, 0), (3, 1), (3, 2), (3, 8), (3, 9), (3, 40), (8, 17),
@@ -196,10 +266,11 @@ def test_maxmin_search_scores_each_start_once(monkeypatch):
         assert sum(scored) == res.evaluations - runs, (k, budget)
 
 
-@pytest.mark.parametrize("k", [3, 8, 16])
+@pytest.mark.parametrize("k", [3, 8, 16, 32])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_maxmin_search_equals_one_disk_at_a_time(k, seed):
-    for budget in (0, 1, 2 * k, 2 * k + 1, 2 * k + 2, 4 * (2 * k + 2), 200):
+    # 6 (k + 1) is the benchmark's budget, 198 at k = 32
+    for budget in (0, 1, 2 * k, 2 * k + 1, 2 * k + 2, 6 * (k + 1), 4 * (2 * k + 2), 200):
         res = maxmin_search(k, budget, seed=seed)
         ref = _maxmin_one_at_a_time(k, budget, seed)
         assert float(res.objective).hex() == float(ref["best"]).hex(), budget
