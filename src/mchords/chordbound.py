@@ -21,9 +21,8 @@ import numpy as np
 
 from .errors import GeometryError
 from .normplane import (ConvexBody, UnitDisk, as_vec, gauge, gauge_many,
-                        unit_vectors, locate_on_boundary, _cross,
-                        _gauge_slopes, _ring_tables, _shift, _vertices_of,
-                        _wedge_of, _wrapped_angle)
+                        unit_vectors, locate_on_boundary, _as_count, _cross,
+                        _gauge_slopes, _shift, _Stack, _vertices_of, _wedge_of)
 
 
 @dataclass(frozen=True)
@@ -105,89 +104,6 @@ class MaxMinResult:
 _SCAN = 1 << 14  # rows * vertices up to which _corners scans whole tables
 
 
-class _Stack:
-    """The tables of B disks with one vertex count n, laid end to end: row
-    b * n + j of V, E and grad is vertex j, edge j and the gauge's
-    gradient on cone j of disk b.  A query of m rows gives m / B
-    consecutive rows to each disk, in order, and names each row's disk by
-    base = b * n.
-
-    cone(base, x, y) is the cone j of each direction (x, y) by _wedge_of's
-    rule in its disk's own table, and gauge(base, P) the gauge_many of each
-    row of P (..., 2); base broadcasts against them.  _Stack([disk]) is one
-    disk, with its own tables, _wedge_of and gauge_many.  of_rings(R)
-    stacks the disks on a (B, n, 2) array of rings, whose tables come from
-    the code that builds a UnitDisk's, so no UnitDisk is built; it finds
-    every cone by one searchsorted over the complex keys (b * n, angle),
-    which sort by disk, then angle.
-    """
-
-    __slots__ = ("B", "n", "bases", "V", "E", "grad", "cone", "gauge", "owner",
-                 "_arcs")
-
-    def __init__(self, disks):
-        disk, = disks
-        self._tables(1, disk.vertices, disk._edge, disk._grad, disk)
-        self.cone = lambda base, x, y: _wedge_of(disk, x, y)
-        self.gauge = lambda base, P: gauge_many(disk, P)
-
-    @classmethod
-    def of_rings(cls, R) -> "_Stack":
-        """The stack of the disks on the rings R (B, n, 2).  Every ring is
-        validated as UnitDisk.polygon validates it, and a bad one raises
-        the error that UnitDisk.polygon raises for it."""
-        V, ang, E, c, grad = _ring_tables(np.asarray(R, dtype=float), "polygon")
-        T = object.__new__(cls)
-        T._tables(len(V), *(a.reshape(-1, 2) for a in (V, E, grad)), T)
-        c = c.ravel()
-        n = T.n
-        keys = _key(T.bases[:, None], ang).ravel()
-
-        def cone(base, x, y):
-            r = _wrapped_angle(ang[base // n, 0], x, y)
-            return np.searchsorted(keys, _key(base, r), side="right") - 1 - base
-
-        def gauge(base, P):
-            x, y = P[..., 0], P[..., 1]
-            J = base + cone(base, x, y)
-            g = (T.E[J, 0] * y - T.E[J, 1] * x) / c[J]
-            return np.where((x == 0.0) & (y == 0.0), 0.0, g)
-
-        T.cone, T.gauge = cone, gauge
-        return T
-
-    def _tables(self, B, V, E, grad, owner):
-        self.B, self.n = B, len(V) // B
-        self.bases = np.arange(B) * self.n
-        self.V, self.E, self.grad = V, E, grad
-        self.owner = owner  # keeps arcs(): the lone disk, or the stack
-        self._arcs = None
-
-    def rows(self, m: int) -> np.ndarray:
-        """base = b * n of each of m query rows."""
-        return self.bases.repeat(m // self.B)
-
-    def arcs(self):
-        """(W, start, total) for lm's arc lengths: W the gauge of each edge
-        row, start the arc length from its disk's vertex 0 to the edge's
-        start, total each disk's perimeter.  They depend on the disks
-        alone, so they are built on first use and kept by the owner."""
-        if self.owner._arcs is None:
-            W = self.gauge(self.rows(len(self.E)), self.E)
-            C = np.cumsum(W.reshape(self.B, -1), axis=1)
-            start = np.concatenate([np.zeros((self.B, 1)), C[:, :-1]], axis=1)
-            self.owner._arcs = W, start.ravel(), C[:, -1]
-        return self.owner._arcs
-
-
-def _key(b, r):
-    # complex numbers sort by real part, then imaginary part
-    z = np.empty(r.shape, dtype=complex)
-    z.real = b
-    z.imag = r
-    return z
-
-
 def _corners(T: _Stack, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """For each row U on the boundary of its disk M in the stack T and
     each row W, the first boundary point x CCW from U with gauge(x - W) = 1.
@@ -235,20 +151,20 @@ def _corners(T: _Stack, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     """
     V, n = T.V, T.n
     base = T.rows(len(U))
-    j = T.cone(base, *U.T)
+    j = T.cone(*U.T, base)
     if len(U) * n * T.B <= _SCAN:
         idx = base[:, None] + (j[:, None] + 1 + np.arange(n // 2)) % n
-        lo = np.argmax(T.gauge(base[:, None], V[idx] - W[:, None, :]) >= 1.0, axis=1)
+        lo = np.argmax(T.gauge(V[idx] - W[:, None, :], base[:, None]) >= 1.0, axis=1)
     else:
         lo = _bisect(np.full_like(j, n // 2 - 1),
-                     lambda i: T.gauge(base, V[base + (j + 1 + i) % n] - W) >= 1.0)
+                     lambda i: T.gauge(V[base + (j + 1 + i) % n] - W, base) >= 1.0)
     prev = np.where((lo == 0)[:, None], U, V[base + (j + lo) % n])
     d = V[base + (j + 1 + lo) % n] - prev
     if len(U) // T.B * n <= _SCAN:
         return _cut_all(T, prev, d, W)
     a = prev - W
-    jb = T.cone(base, *(a + d).T)
-    ja = np.where((a == 0.0).all(axis=1), jb, T.cone(base, *a.T))
+    jb = T.cone(*(a + d).T, base)
+    ja = np.where((a == 0.0).all(axis=1), jb, T.cone(*a.T, base))
     s = np.where(_cross(a, d) < 0.0, -1, 1)
     # rays crossed in order: vertex ja + 1 + i CCW, ja - i CW; the first
     # on the origin's side (i = L for none) ends the exit cone
@@ -308,7 +224,7 @@ def _lens_corners(disk: UnitDisk, w: np.ndarray, d: float):
     """(x_plus, x_minus) of the lens M Intersect (w + M), gauge(w) = d in
     (0, 2): the lens is symmetric about w/2, and x_plus is the first
     boundary point CCW from w/d at gauge distance 1 from w."""
-    x_plus = _corners(_Stack([disk]), (w / d)[None, :], w[None, :])[0]
+    x_plus = _corners(disk._T, (w / d)[None, :], w[None, :])[0]
     return x_plus, w - x_plus
 
 
@@ -377,7 +293,7 @@ def _lm_at(T: _Stack, q: np.ndarray) -> np.ndarray:
     x_plus = _corners(T, q, q)
 
     def arc_pos(x):
-        J = base + T.cone(base, *x.T)
+        J = base + T.cone(*x.T, base)
         s = np.einsum("ij,ij->i", x - V[J], E[J]) / np.einsum("ij,ij->i", E[J], E[J])
         return start[J] + s * W[J]
 
@@ -395,16 +311,16 @@ def _min_lm(disk: UnitDisk) -> float:
     negation are.  On a sampled disk this is the minimum over the samples,
     which may lie below the smooth body's.
     """
-    return float(_least_lm(_Stack([disk]))[0])
+    return float(_least_lm(disk._T)[0])
 
 
 def _min_lm_many(rings) -> np.ndarray:
     """_min_lm of the disk on each ring of a (B, n, 2) stack, in one _lm_at
-    pass over the stack of their first halves (_Stack.of_rings, which
-    validates every ring as UnitDisk.polygon does and builds no
-    UnitDisk).  A disk's value does not depend on the stack it is scored
-    in, and equals _min_lm of UnitDisk.polygon(ring) bit for bit."""
-    return _least_lm(_Stack.of_rings(rings))
+    pass over the first halves of the _Stack of the rings, which validates
+    every ring as UnitDisk.polygon does and builds no UnitDisk.  A disk's
+    value does not depend on the stack it is scored in, and equals _min_lm
+    of UnitDisk.polygon(ring) bit for bit."""
+    return _least_lm(_Stack(rings))
 
 
 def _least_lm(T: _Stack) -> np.ndarray:
@@ -423,12 +339,13 @@ def lm(disk: UnitDisk, direction: float) -> float:
     direction = float(direction)
     if not math.isfinite(direction):
         raise ValueError("lm: direction must be finite, got %r" % direction)
-    return float(_lm_at(_Stack([disk]), unit_vectors(disk, np.array([direction])))[0])
+    return float(_lm_at(disk._T, unit_vectors(disk, np.array([direction])))[0])
 
 
 def lm_sweep(disk: UnitDisk, n: int) -> LmProfile:
     """Profile of lm over n equally spaced directions in [0, pi); for
     polygonal disks the vertex directions are swept as well."""
+    n = _as_count(n, "lm_sweep: n")
     if n < 4:
         raise ValueError("lm_sweep: need n >= 4 directions")
     dirs = np.arange(n) * (math.pi / n)
@@ -437,7 +354,7 @@ def lm_sweep(disk: UnitDisk, n: int) -> LmProfile:
         va = np.mod(np.arctan2(V[:, 1], V[:, 0]), math.pi)
         dirs = np.unique(np.concatenate([dirs, va]))
         dirs = dirs[np.concatenate([[True], np.diff(dirs) > 1e-12])]
-    vals = _lm_at(_Stack([disk]), unit_vectors(disk, dirs))
+    vals = _lm_at(disk._T, unit_vectors(disk, dirs))
     i0 = int(np.argmin(vals))
     i1 = int(np.argmax(vals))
     return LmProfile(directions=dirs, values=vals,
@@ -456,7 +373,7 @@ def inscribed_hexagon(disk: UnitDisk, p) -> Hexagon:
     along a stretch of the boundary through q (parallel flat pieces).
     """
     p = locate_on_boundary(disk.vertices, p, "inscribed_hexagon: p")[2]
-    q = _corners(_Stack([disk]), p[None, :], p[None, :])[0]
+    q = _corners(disk._T, p[None, :], p[None, :])[0]
     # Unique when gauge(. - p) grows along the boundary through q: it rises
     # into q in exact arithmetic, but rounding can put q inside a flat
     # stretch, so both sides are tested, on the edges q arrives and leaves
@@ -468,8 +385,8 @@ def inscribed_hexagon(disk: UnitDisk, p) -> Hexagon:
     j = int(_wedge_of(disk, *q[:, None])[0])
     if math.hypot(*(V[(j + 1) % n] - q)) <= tiny:
         j = (j + 1) % n
-    e_out = disk._edge[j]
-    e_in = disk._edge[j - 1] if math.hypot(*(V[j] - q)) <= tiny else e_out
+    e_out = disk._T.E[j]
+    e_in = disk._T.E[j - 1] if math.hypot(*(V[j] - q)) <= tiny else e_out
     _, s_out, s_back = _gauge_slopes(disk)((q - p)[:, None], e_out[:, None],
                                            -e_in[:, None])
     unique = (s_out[0] > 1e-12 * max(1.0, math.hypot(*e_out))
@@ -652,6 +569,9 @@ def maxmin_search(k: int, budget: int, seed: int = 0,
     answered from the stacks in its own call order; row 0 of a simplex is
     its run's start, answered from the start's score.
     """
+    k = _as_count(k, "maxmin_search: k")
+    budget = _as_count(budget, "maxmin_search: budget")
+    sweep_n = _as_count(sweep_n, "maxmin_search: sweep_n")
     if k < 3:
         raise ValueError("maxmin_search: need k >= 3")
     if budget < 0:

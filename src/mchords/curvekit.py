@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, UnsupportedDiskError
-from .normplane import UnitDisk, as_vec, gauge, gauge_many, _gauge_slopes
+from .normplane import UnitDisk, as_vec, gauge, gauge_many, _as_count, _gauge_slopes
 
 _BLOCK_ELEMS = 1 << 16  # pairs per row block of the chord kernel, at most
 _BLOCK_ROWS = 32  # rows per block, at most: a block discards B^2 / 2 pairs h <= l
@@ -326,6 +326,7 @@ def bisector_sample(disk: UnitDisk, a, b, y_range, n: int) -> BisectorSample:
     if math.hypot(*u) <= 1e-12 * max(1.0, float(np.abs(a).max()),
                                      float(np.abs(b).max())):
         raise ValueError("bisector_sample: a and b coincide")
+    n = _as_count(n, "bisector_sample: n")
     if n < 1:
         raise ValueError("bisector_sample: n must be >= 1")
     lo, hi = float(y_range[0]), float(y_range[1])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curvekit import ChordReport, Witness, _checked_tol, _run_two_sided
+from .normplane import _as_count
 
 
 class PolylineD:
@@ -52,9 +53,9 @@ def hypercube_curve(d: int) -> PolylineD:
     curve is followed by copy 1 traversed backwards, joined by a single
     edge in the new coordinate.  Starts at the origin.
     """
-    if not 1 <= int(d) <= 20:
+    d = _as_count(d, "hypercube_curve: d")
+    if not 1 <= d <= 20:
         raise ValueError("hypercube_curve: d must be in 1..20")
-    d = int(d)
     i = np.arange(1 << d, dtype=np.uint32)
     g = i ^ (i >> 1)
     bits = (g[:, None] >> np.arange(d, dtype=np.uint32)) & 1
@@ -92,14 +93,14 @@ def check_increasing_chords_dd(curve: PolylineD, samples_per_edge: int = 8,
     one-sided derivative test.  Witness quads are reported in vertex
     parameter units (fractional values lie inside edges).
     """
-    if samples_per_edge < 1:
+    spe = _as_count(samples_per_edge, "check_increasing_chords_dd: samples_per_edge")
+    if spe < 1:
         raise ValueError("check_increasing_chords_dd: need samples_per_edge >= 1")
     if len(curve) < 2:
         raise ValueError("check_increasing_chords_dd: need at least 2 points")
     tol = _checked_tol(tol)
     P = curve.points
     n, dim = P.shape
-    spe = int(samples_per_edge)
     f = (np.arange(spe, dtype=float) + 1.0) / (spe + 1)
     E = P[1:] - P[:-1]
     inner = P[:-1, None, :] + f[None, :, None] * E[:, None, :]

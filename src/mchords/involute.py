@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import GeometryError
 from .normplane import (ConvexBody, UnitDisk, gauge, gauge_many, unit_vectors,
-                        locate_on_boundary, _on_vertex_ray, _shift, _wedge_of, TWO_PI)
+                        locate_on_boundary, _as_count, _on_vertex_ray, _shift,
+                        _wedge_of, TWO_PI)
 from .curvekit import Polyline
 
 _MAX_EVENTS = 1 << 20  # ladder and norm events of one build_involute call
@@ -121,6 +122,7 @@ def build_involute(norm: UnitDisk, base: ConvexBody, p, theta_min: float,
     bound |theta| < 2**20 * pi, far below where adding the base's largest
     turn (at least 2 pi / m for m vertices) would no longer move the angle.
     """
+    n = _as_count(n, "build_involute: n")
     if n < 2:
         raise ValueError("build_involute: need n >= 2 samples")
     theta_min = float(theta_min)
@@ -189,7 +191,7 @@ def build_involute(norm: UnitDisk, base: ConvexBody, p, theta_min: float,
     ev = A - rot if base.exact_polygon else np.empty(0)
     if norm.is_polygonal:
         # the curve also kinks where u(alpha) crosses a norm vertex
-        av = norm._ang[:, None]
+        av = norm._T.ang[:, None]
         lo_k = np.ceil((lo_a - av) / TWO_PI)
         hi_k = np.floor((hi_a - av) / TWO_PI)
         w = np.arange(lo_k.min(), hi_k.max() + 1)

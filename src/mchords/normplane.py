@@ -12,6 +12,7 @@ up to floating point.  The convex rings the constructions are cut from
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,15 @@ def as_vec(v) -> Vec2:
     if not np.all(np.isfinite(a)):
         raise ValueError("vector has non-finite components: %s" % (a,))
     return a
+
+
+def _as_count(n, what: str) -> int:
+    """n as an int by operator.index, so numpy integers pass; a value that
+    is not an integer, 2.5 or even 3.0, raises ValueError naming what."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError("%s must be an integer, got %r" % (what, n)) from None
 
 
 def _cross(a, b):
@@ -113,31 +123,95 @@ def _validate_symmetric_polygon(V: np.ndarray, what: str) -> None:
             "%s: origin is not strictly interior (edge starting at vertex %d)" % (what, bad))
 
 
-def _ring_tables(R: np.ndarray, what: str):
-    """The tables of the disks on a stack R (B, n, 2) of rings, validated
-    by _validate_symmetric_polygon: (V, ang, edge, c, grad), each with the
-    leading axes (B, n).  Each ring is rolled so that its least polar
-    angle comes first, then vertex j has polar angle ang[j], edge j runs
-    from vertex j to vertex j + 1, c[j] = cross(edge j, vertex j) < 0, and
-    the gauge on the cone over edge j is gauge(w) = dot(w, grad[j])."""
-    _validate_symmetric_polygon(R, what)
-    B, n = R.shape[:2]
-    ang = np.arctan2(R[..., 1], R[..., 0])
-    roll = ang.argmin(axis=1)[:, None] + np.arange(n)
-    roll %= n
-    roll += np.arange(0, B * n, n)[:, None]  # rows of the flat stack
-    V = R.reshape(-1, 2).take(roll, axis=0)
-    ang = ang.take(roll)
-    if (ang[:, 1:] <= ang[:, :-1]).any():
-        # cannot happen for a valid disk; guards fp pathologies
-        raise InvalidDiskError("%s: vertex polar angles are not strictly increasing" % what)
-    edge = _next(V) - V
-    c = _cross(edge, V)  # negative for every edge
-    return V, ang, edge, c, edge[..., ::-1] * _LEFT / c[..., None]
+class _Stack:
+    """The tables of B disks with one vertex count n, laid end to end: row
+    b * n + j of V, ang, E, c and grad is vertex j, its polar angle, edge
+    j (vertex j to j + 1), c = cross(edge j, vertex j) < 0 and the gauge's
+    gradient on cone j of disk b.  _Stack(R) validates the rings R (B, n,
+    2) by _validate_symmetric_polygon, naming them `what`, and rolls each
+    so that its least polar angle comes first.  A UnitDisk keeps the
+    stack of its one ring as disk._T.
+
+    A query of m rows gives m / B consecutive rows to each disk, in order,
+    and names each row's disk by base = b * n (rows(m)); base broadcasts
+    against the rows.  cone(x, y, base) is the cone j of each direction
+    (x, y), the wedge over edge j of its disk holding it: ang[base + j]
+    <= r < ang[base + j + 1] for its polar angle r from _wrapped_angle.
+    A stack of one finds it by searchsorted over its angles, a stack of
+    more by one searchsorted over the complex keys (base, angle), which
+    sort by disk, then angle.  gauge(P, base) is the gauge of each row of
+    P (..., 2), linear on each cone.
+    """
+
+    __slots__ = ("B", "n", "bases", "V", "ang", "E", "c", "grad", "keys",
+                 "_arcs", "_slopes")
+
+    def __init__(self, R, what: str = "polygon"):
+        R = np.asarray(R, dtype=float)
+        _validate_symmetric_polygon(R, what)
+        self.B, self.n = B, n = R.shape[:2]
+        self.bases = np.arange(0, B * n, n)
+        ang = np.arctan2(R[..., 1], R[..., 0])
+        roll = ang.argmin(axis=1)[:, None] + np.arange(n)
+        roll %= n
+        roll += self.bases[:, None]  # rows of the flat stack
+        V = R.reshape(-1, 2).take(roll, axis=0)
+        ang = ang.take(roll)
+        if (ang[:, 1:] <= ang[:, :-1]).any():
+            # cannot happen for a valid disk; guards fp pathologies
+            raise InvalidDiskError("%s: vertex polar angles are not strictly increasing" % what)
+        E = _next(V) - V
+        c = _cross(E, V)  # negative for every edge
+        self.V, self.E, self.grad = (a.reshape(-1, 2) for a in (
+            V, E, E[..., ::-1] * _LEFT / c[..., None]))
+        self.V.flags.writeable = False
+        self.ang, self.c = ang.ravel(), c.ravel()
+        self.keys = _key(self.bases[:, None], ang).ravel() if B > 1 else None
+        self._arcs = None  # arcs(), built on first use
+        self._slopes = None  # _gauge_slopes' callback, built on first use
+
+    def rows(self, m: int) -> np.ndarray:
+        """base = b * n of each of m query rows."""
+        return self.bases.repeat(m // self.B)
+
+    def cone(self, x: np.ndarray, y: np.ndarray, base=0) -> np.ndarray:
+        if self.B == 1:
+            r = _wrapped_angle(self.ang[0], x, y)
+            return np.searchsorted(self.ang, r, side="right") - 1
+        r = _wrapped_angle(self.ang[base], x, y)
+        return np.searchsorted(self.keys, _key(base, r), side="right") - 1 - base
+
+    def gauge(self, P: np.ndarray, base=0) -> np.ndarray:
+        x, y = P[..., 0], P[..., 1]
+        J = base + self.cone(x, y, base)
+        g = (self.E[J, 0] * y - self.E[J, 1] * x) / self.c[J]
+        zero = (x == 0.0) & (y == 0.0)
+        return np.where(zero, 0.0, g) if zero.any() else g
+
+    def arcs(self):
+        """(W, start, total) for the arc length along each disk's boundary:
+        W the gauge of each edge row, start the arc length from its disk's
+        vertex 0 to the edge's start, total each disk's perimeter.  Built
+        on first use and kept."""
+        if self._arcs is None:
+            W = self.gauge(self.E, self.rows(len(self.E)))
+            C = np.cumsum(W.reshape(self.B, -1), axis=1)
+            start = np.concatenate([np.zeros((self.B, 1)), C[:, :-1]], axis=1)
+            self._arcs = W, start.ravel(), C[:, -1]
+        return self._arcs
+
+
+def _key(b, r):
+    # complex numbers sort by real part, then imaginary part
+    z = np.empty(r.shape, dtype=complex)
+    z.real = b
+    z.imag = r
+    return z
 
 
 class UnitDisk:
-    """Origin-symmetric convex disk, canonically stored as a CCW polygon.
+    """Origin-symmetric convex disk, canonically stored as a CCW polygon:
+    its tables are the _Stack of its one ring, _T.
 
     Attributes
     ----------
@@ -152,23 +226,14 @@ class UnitDisk:
         _mirrored); a flat side drawn as one long edge is not seen.
     """
 
-    __slots__ = ("vertices", "kind", "is_polygonal", "is_strictly_convex",
-                 "_ang", "_edge", "_edge_c", "_grad", "_slopes", "_arcs")
+    __slots__ = ("vertices", "kind", "is_polygonal", "is_strictly_convex", "_T")
 
     def __init__(self, vertices, *, kind: str, is_strictly_convex: bool = False):
-        V, ang, edge, c, grad = (t[0] for t in _ring_tables(
-            np.array(vertices, dtype=float)[None], kind))
-        V.flags.writeable = False
-        self.vertices = V
+        self._T = _Stack(np.asarray(vertices, dtype=float)[None], kind)
+        self.vertices = self._T.V
         self.kind = kind
         self.is_polygonal = kind == "polygon"
         self.is_strictly_convex = bool(is_strictly_convex)
-        self._ang = ang
-        self._edge = edge
-        self._edge_c = c
-        self._grad = grad
-        self._slopes = None  # _gauge_slopes' callback, built on first use
-        self._arcs = None  # chordbound's arc-length table, built on first use
 
     # -- constructors ------------------------------------------------------
 
@@ -399,21 +464,14 @@ def gauge_many(disk: UnitDisk, V) -> np.ndarray:
     Vectorized; V may have any leading shape with trailing axis 2.
     """
     V = np.asarray(V, dtype=float)
-    x, y = V.reshape(-1, 2).T
-    j = _wedge_of(disk, x, y)
-    # linear on cone j
-    g = (disk._edge[j, 0] * y - disk._edge[j, 1] * x) / disk._edge_c[j]
-    zero = (x == 0.0) & (y == 0.0)
-    if zero.any():
-        g = np.where(zero, 0.0, g)
-    return g.reshape(V.shape[:-1])
+    return disk._T.gauge(V.reshape(-1, 2)).reshape(V.shape[:-1])
 
 
-def _wrapped_angle(a0: float, x: np.ndarray, y: np.ndarray):
+def _wrapped_angle(a0, x: np.ndarray, y: np.ndarray):
     """Polar angle r of each direction (x, y), wrapped to [a0, a0 + 2 pi]
-    with a0 = _ang[0] of a disk.  The wrap is np.mod's, done by compare and
-    add, since arctan2 - a0 lies in [-pi, 2 pi]; rounding can put r at
-    a0 + 2 pi itself."""
+    with a0 the polar angle of its disk's vertex 0.  The wrap is np.mod's,
+    done by compare and add, since arctan2 - a0 lies in [-pi, 2 pi];
+    rounding can put r at a0 + 2 pi itself."""
     r = np.arctan2(y, x) - a0
     r[r >= TWO_PI] = 0.0
     r += (r < 0.0) * TWO_PI
@@ -422,11 +480,9 @@ def _wrapped_angle(a0: float, x: np.ndarray, y: np.ndarray):
 
 
 def _wedge_of(disk: UnitDisk, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cone j of each direction (x, y), the wedge over boundary edge j
-    holding it: _ang[j] <= r < _ang[j + 1] for its polar angle r from
-    _wrapped_angle.  x and y are component arrays of one shape."""
-    r = _wrapped_angle(disk._ang[0], x, y)
-    return np.searchsorted(disk._ang, r, side="right") - 1
+    """Cone j of each direction (x, y) in the disk, _Stack.cone of its
+    stack: x and y are component arrays of one shape."""
+    return disk._T.cone(x, y)
 
 
 def gauge(disk: UnitDisk, v) -> float:
@@ -455,9 +511,9 @@ def _gauge_slopes(disk: UnitDisk) -> "_Slopes":
     as a callback terms(W, Ef, Er) -> (gauge(W), slope along Ef, slope
     along Er).  W is component first, (2, ...), the edges have its axes
     and broadcast against it, and None skips a slope.  The callback holds
-    the disk's tables (edge and gradient columns, the bucket table); it is
-    built on the disk's first call and kept on the disk, so later calls
-    cost nothing to set up.
+    columns of the disk's tables and a bucket table; it is built on the
+    disk's first call and kept on its stack, so later calls cost nothing
+    to set up.
 
     The cone j of w is _wedge_of's, found without its searchsorted.  The
     angles [a0, a0 + 2 pi] are cut into K buckets, K the power of two at
@@ -475,9 +531,10 @@ def _gauge_slopes(disk: UnitDisk) -> "_Slopes":
     test, and the neighbour's gradient, are taken only where an angle
     screen (angles are good to 1e-14) asks.
     """
-    if disk._slopes is None:
-        disk._slopes = _Slopes(disk)
-    return disk._slopes
+    T = disk._T
+    if T._slopes is None:
+        T._slopes = _Slopes(T)
+    return T._slopes
 
 
 def _on_vertex_ray(V, i, x, y):
@@ -488,20 +545,20 @@ def _on_vertex_ray(V, i, x, y):
 
 
 class _Slopes:
-    """_gauge_slopes' callback with the tables of one disk."""
+    """_gauge_slopes' callback on the stack T of one disk."""
 
     __slots__ = ("V", "a0", "scale", "lut", "steps", "ang", "ang_next",
                  "ex", "ey", "ec", "gx", "gy")
 
-    def __init__(self, disk: UnitDisk):
-        ang = disk._ang
+    def __init__(self, T: _Stack):
+        ang = T.ang
         m = len(ang)
-        self.V = disk.vertices
+        self.V = T.V
         self.a0 = a0 = ang[0]
         self.ang_next = np.concatenate((ang[1:], [a0 + TWO_PI]))
-        self.ex, self.ey = np.ascontiguousarray(disk._edge.T)
-        self.gx, self.gy = np.ascontiguousarray(disk._grad.T)
-        self.ec = disk._edge_c
+        self.ex, self.ey = np.ascontiguousarray(T.E.T)
+        self.gx, self.gy = np.ascontiguousarray(T.grad.T)
+        self.ec = T.c
         K = 1 << (2 * m - 1).bit_length()
         self.scale = K / TWO_PI
         # count[b] vertices in bucket b; bucket K holds only r = a0 + 2 pi
@@ -514,7 +571,7 @@ class _Slopes:
         self.ang = np.concatenate((ang, np.full(1 << bits, np.inf)))
 
     def cone(self, r: np.ndarray) -> np.ndarray:
-        """searchsorted(_ang, r, side="right") - 1 for angles r wrapped by
+        """searchsorted(T.ang, r, side="right") - 1 for angles r wrapped by
         _wrapped_angle, by the bucket table."""
         b = r - self.a0
         b *= self.scale

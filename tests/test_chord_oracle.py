@@ -30,7 +30,7 @@ import mchords.curvekit as curvekit
 from mchords import (Polyline, UnitDisk, check_increasing_chords,
                      check_increasing_wrt_set, inscribed_hexagon,
                      reuleaux, reuleaux_two_sides, unit_vector)
-from mchords.chordbound import _Stack, _lm_at, _min_lm_many
+from mchords.chordbound import _lm_at, _min_lm_many
 from mchords.highdim import PolylineD, check_increasing_chords_dd, hypercube_curve
 from mchords.normplane import (_cross, _gauge_slopes, _wedge_of,
                                _wrapped_angle, gauge_many)
@@ -163,7 +163,7 @@ def test_square_and_hexagon_lattice_walks():
     verdicts = []
     for disk in (UnitDisk.square(), UnitDisk.regular_hexagon()):
         gaugef = oracles.polygon_gauge(disk.vertices)
-        dirs = np.concatenate([disk.vertices, disk._edge / 2.0])
+        dirs = np.concatenate([disk.vertices, disk._T.E / 2.0])
         for _ in range(12):
             steps = dirs[rng.integers(0, len(dirs), int(rng.integers(2, 8)))]
             steps = steps * rng.integers(1, 4, (len(steps), 1)) / 4.0
@@ -244,10 +244,10 @@ def reference_terms(disk, W, E):
     lookup wrapping angles with np.mod and the ray test on every pair."""
     flat = W.reshape(-1, 2)
     e = np.broadcast_to(E, W.shape).reshape(-1, 2)
-    V, G, m = disk.vertices, disk._grad, len(disk.vertices)
-    a0 = disk._ang[0]
+    V, G, m = disk.vertices, disk._T.grad, len(disk.vertices)
+    a0 = disk._T.ang[0]
     r = a0 + np.mod(np.arctan2(flat[:, 1], flat[:, 0]) - a0, 2.0 * math.pi)
-    j = np.clip(np.searchsorted(disk._ang, r, side="right") - 1, 0, m - 1)
+    j = np.clip(np.searchsorted(disk._T.ang, r, side="right") - 1, 0, m - 1)
     s = np.einsum("ij,ij->i", G[j], e)
     scale = np.hypot(flat[:, 0], flat[:, 1])
     for nb, ray in ((j - 1, j), ((j + 1) % m, (j + 1) % m)):
@@ -292,11 +292,11 @@ def test_cone_lookup_and_ray_test_match_reference():
     fullest = []
     for disk in disks:
         terms = _gauge_slopes(disk)
-        fullest.append(int(np.diff(np.append(terms.lut, len(disk._ang) - 1)).max()))
+        fullest.append(int(np.diff(np.append(terms.lut, len(disk._T.ang) - 1)).max()))
         # the index step alone, at the angles where it can go wrong: each
         # vertex angle and one ulp either side of it, and both ends of the
         # wrapped range [a0, a0 + 2 pi]
-        ang = disk._ang
+        ang = disk._T.ang
         a0, top = ang[0], ang[0] + 2.0 * math.pi
         r = np.concatenate([ang, np.nextafter(ang[1:], -np.inf),
                             np.nextafter(ang, np.inf),
@@ -353,10 +353,10 @@ def test_slope_tables_are_built_once_per_disk():
     for new_disk, theta in ((lambda: UnitDisk.from_spec(spec, 1024), 0.4),
                             (UnitDisk.square, 0.0)):
         disk = new_disk()
-        assert disk._slopes is None
+        assert disk._T._slopes is None
         p = unit_vector(disk, theta)
         before = inscribed_hexagon(disk, p)
-        tables = disk._slopes
+        tables = disk._T._slopes
         walk = np.cumsum(rng.normal(0.0, 1.0, (30, 2)), axis=0)
         anchors = rng.normal(0.0, 1.0, (3, 2))
 
@@ -367,7 +367,7 @@ def test_slope_tables_are_built_once_per_disk():
 
         first = reports(disk)
         assert reports(disk) == first
-        assert disk._slopes is tables and _gauge_slopes(disk) is tables
+        assert disk._T._slopes is tables and _gauge_slopes(disk) is tables
         # the same reports from a disk that has not run the kernel yet
         assert reports(new_disk()) == first
         after = inscribed_hexagon(disk, p)
@@ -490,9 +490,9 @@ def test_lm_matches_the_rational_lens_perimeter():
     least = {}
     for disk, thin in disks:
         V = disk.vertices
-        Q = (V[:, None, :] + t[None, :, None] * disk._edge[:, None, :]).reshape(-1, 2)
+        Q = (V[:, None, :] + t[None, :, None] * disk._T.E[:, None, :]).reshape(-1, 2)
         exact = [rational_lens_lm(V, q) for q in Q]
-        for got, want in zip(_lm_at(_Stack([disk]), Q), exact):
+        for got, want in zip(_lm_at(disk._T, Q), exact):
             assert ulps(got, want) <= (64 if thin else 8)
         # Q[::4] are the vertices, and lm(-q) = lm(q)
         least[disk] = min(exact[:len(Q) // 2:4]), thin

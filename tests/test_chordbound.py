@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial import HalfspaceIntersection
 
 from mchords import UnitDisk, boundary_arclength, gauge, unit_vector
-from mchords.chordbound import (_SCAN, Hexagon, _Stack, _arc, _corners,
+from mchords.chordbound import (_SCAN, Hexagon, _arc, _corners,
                                 _family_params, _lm_at, _min_lm,
                                 bounding_parallelogram, inscribed_hexagon,
                                 intersect_translates,
@@ -14,7 +14,7 @@ from mchords.chordbound import (_SCAN, Hexagon, _Stack, _arc, _corners,
 from mchords.curvekit import Polyline, arclength, check_increasing_chords
 from mchords.errors import GeometryError
 from mchords.involute import ConvexBody
-from mchords.normplane import _wedge_of, gauge_many, unit_vectors
+from mchords.normplane import _Stack, _wedge_of, gauge_many, unit_vectors
 from mchords.verify import (convex_hull, random_disk, random_polygon_disk,
                             random_smooth_disk)
 
@@ -87,23 +87,23 @@ def test_arc_tables_are_built_once_per_disk():
     for new_disk in (lambda: UnitDisk.lp(3.0, 1024), UnitDisk.regular_hexagon,
                      lambda: random_polygon_disk(np.random.default_rng(5))):
         disk = new_disk()
-        assert disk._arcs is None
+        assert disk._T._arcs is None
         dirs = rng.uniform(0.0, math.pi, 8)
         first = [lm(disk, d) for d in dirs]
-        tables = disk._arcs
+        tables = disk._T._arcs
         assert tables is not None
         assert [lm(disk, d) for d in dirs] == first
         assert lm_sweep(disk, 90).values.tobytes() == lm_sweep(new_disk(), 90).values.tobytes()
-        assert disk._arcs is tables and _Stack([disk]).arcs() is tables
+        assert disk._T._arcs is tables and disk._T.arcs() is tables
         assert [lm(new_disk(), d) for d in dirs] == first
     rings = np.stack([random_polygon_disk(np.random.default_rng(5)).vertices * s
                       for s in (1.0, 0.5, 3.0)])
-    T = _Stack.of_rings(rings)
+    T = _Stack(rings)
     W, start, total = T.arcs()
     assert T.arcs() is T.arcs()
     for b, ring in enumerate(rings):
         rows = slice(b * len(ring), (b + 1) * len(ring))
-        W1, start1, total1 = _Stack([UnitDisk.polygon(ring)]).arcs()
+        W1, start1, total1 = UnitDisk.polygon(ring)._T.arcs()
         assert W[rows].tobytes() == W1.tobytes()
         assert start[rows].tobytes() == start1.tobytes()
         assert total[b] == total1[0]
@@ -169,8 +169,8 @@ def test_corner_search_matches_scan():
         scale = max(1.0, float(np.abs(disk.vertices).max()))
         for c in (0.5, 1.0, 1.5):
             W = c * q
-            X = _corners(_Stack([disk]), q, W)
-            Y = np.concatenate([_corners(_Stack([disk]), q[i:i + rows], W[i:i + rows])
+            X = _corners(disk._T, q, W)
+            Y = np.concatenate([_corners(disk._T, q[i:i + rows], W[i:i + rows])
                                 for i in range(0, len(q), rows)])
             assert np.abs(gauge_many(disk, X) - 1.0).max() <= 1e-13
             assert np.abs(gauge_many(disk, X - W) - 1.0).max() <= 1e-13
@@ -557,12 +557,12 @@ def test_min_lm_is_the_minimum_over_every_edge():
     t = np.arange(64) / 64.0
     for disk in _polygons_and_family_disks():
         V = disk.vertices
-        Q = (V[:, None, :] + t[None, :, None] * disk._edge[:, None, :]).reshape(-1, 2)
-        dense = _lm_at(_Stack([disk]), Q).min()
+        Q = (V[:, None, :] + t[None, :, None] * disk._T.E[:, None, :]).reshape(-1, 2)
+        dense = _lm_at(disk._T, Q).min()
         m = _min_lm(disk)
         assert abs(m - dense) <= 1e-12
         assert m <= dense * (1.0 + 16 * np.finfo(float).eps)
-        vals = _lm_at(_Stack([disk]), V[:len(V) // 2])
+        vals = _lm_at(disk._T, V[:len(V) // 2])
         i = int(np.argmin(vals))
         assert vals[i] == m
         assert abs(m - oracles.lens_lm(V, math.atan2(V[i, 1], V[i, 0]))) <= 1e-9
@@ -571,11 +571,11 @@ def test_min_lm_is_the_minimum_over_every_edge():
 def test_lm_is_concave_along_every_edge():
     rng = np.random.default_rng(43)
     for disk in _polygons_and_family_disks():
-        V, E = disk.vertices, disk._edge
+        V, E = disk.vertices, disk._T.E
         a, b = rng.random((2, len(V), 16, 1))
         q0 = V[:, None, :] + a * E[:, None, :]
         q1 = V[:, None, :] + b * E[:, None, :]
-        T = _Stack([disk])
+        T = disk._T
         l0, l1, mid = (_lm_at(T, q.reshape(-1, 2)) for q in (q0, q1, 0.5 * (q0 + q1)))
         assert (0.5 * (l0 + l1) - mid).max() <= 1e-14
 

@@ -22,9 +22,10 @@ from scipy.optimize import minimize
 
 from mchords import DiskFamilyParams, UnitDisk
 from mchords import chordbound
-from mchords.chordbound import (_SCAN, _Stack, _family_params, _family_rings,
+from mchords.chordbound import (_SCAN, _family_params, _family_rings,
                                 _lm_at, _min_lm, _min_lm_many, maxmin_search)
 from mchords.errors import GeometryError, InvalidDiskError
+from mchords.normplane import _Stack
 
 import oracles
 
@@ -44,7 +45,7 @@ def test_the_half_cut_square_is_a_family_point():
     ulp = math.ulp(13.0 / 6.0)
     disk = params.disk()
     assert abs(Fraction(_min_lm(disk)) - Fraction(13, 6)) <= 8 * ulp
-    for v in _lm_at(_Stack([disk]), disk.vertices[:4]):
+    for v in _lm_at(disk._T, disk.vertices[:4]):
         assert abs(Fraction(float(v)) - Fraction(13, 6)) <= 8 * ulp
 
 
@@ -121,7 +122,7 @@ def test_a_bad_ring_in_a_stack_raises_as_unit_disk_polygon():
         for at in (1, 2, 3):
             stack = rings.copy()
             stack[at] = bad
-            for build in (_Stack.of_rings, _min_lm_many):
+            for build in (_Stack, _min_lm_many):
                 with pytest.raises(InvalidDiskError) as stacked:
                     build(stack)
                 assert type(stacked.value) is type(alone.value), what

@@ -246,7 +246,7 @@ def _involute_by_loops(norm, base, p, theta_min, theta_max, n):
     A, D, P = np.array(A), np.array(D), W[V]
     ev = list(A - rot) if base.exact_polygon else []
     if norm.is_polygonal:
-        for a in norm._ang:
+        for a in norm._T.ang:
             lo_k = int(np.ceil((lo_a - a) / (2.0 * PI)))
             hi_k = int(np.floor((hi_a - a) / (2.0 * PI)))
             ev += [a + 2.0 * PI * w - rot for w in range(lo_k, hi_k + 1)]

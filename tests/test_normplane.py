@@ -6,11 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from mchords import (UnitDisk, boundary_arclength, gauge, gauge_many,
-                     intersect_translates, is_birkhoff_orthogonal, perimeter,
+from mchords import (UnitDisk, bisector_sample, boundary_arclength,
+                     build_involute, check_increasing_chords_dd, gauge,
+                     gauge_many, hypercube_curve, intersect_translates,
+                     is_birkhoff_orthogonal, lm_sweep, maxmin_search, perimeter,
                      support, unit_vector, unit_vectors, InvalidDiskError,
                      GeometryError)
 from mchords.involute import ConvexBody
+from mchords.normplane import _Stack
 from mchords.verify import (builtin_disks, random_disk, random_polygon_disk,
                             random_smooth_disk)
 
@@ -420,3 +423,66 @@ def test_refusals_name_their_cause(build, error, named):
         warnings.simplefilter("error")
         with pytest.raises(error, match=re.escape(named)):
             build()
+
+
+_CIRCLE = UnitDisk.euclidean(256)
+
+
+@pytest.mark.parametrize("named, call, good", [
+    ("lm_sweep: n", lambda n: lm_sweep(UnitDisk.square(), n), 8),
+    ("hypercube_curve: d", hypercube_curve, 3),
+    ("check_increasing_chords_dd: samples_per_edge",
+     lambda n: check_increasing_chords_dd(hypercube_curve(2), n), 2),
+    ("maxmin_search: k", lambda n: maxmin_search(n, 0), 3),
+    ("maxmin_search: budget", lambda n: maxmin_search(3, n), 0),
+    ("maxmin_search: sweep_n", lambda n: maxmin_search(3, 0, sweep_n=n), 720),
+    ("build_involute: n", lambda n: build_involute(
+        _CIRCLE, ConvexBody.from_disk(_CIRCLE), _CIRCLE.vertices[0], 0.0, 1.0, n), 5),
+    ("bisector_sample: n",
+     lambda n: bisector_sample(_CIRCLE, (0, 0), (1, 0), (-1.0, 1.0), n), 3),
+])
+def test_counts_refuse_non_integral_values(named, call, good):
+    # a count is taken through operator.index: numpy integers pass, while
+    # 4.5 used to be truncated or mis-spaced and 3.0 to fail inside numpy
+    call(np.int64(good))
+    for bad in (good + 0.5, float(good)):
+        with pytest.raises(ValueError, match=re.escape(named + " must be an integer")):
+            call(bad)
+
+
+def test_stacked_cones_and_gauges_match_each_disks_own():
+    # the cone rule is chosen by the stack size B: searchsorted over a
+    # lone disk's angles, the complex keys (base, angle) for B >= 2; each
+    # disk's rows of a stack must get its own stack's cones and gauge bits
+    rng = np.random.default_rng(281)
+    polygons = {}
+    for _ in range(60):
+        disk = random_polygon_disk(rng)
+        polygons.setdefault(len(disk.vertices), []).append(disk)
+    parallelogram = UnitDisk.polygon([(1.0, 0.0), (2.0, 1.0), (-1.0, 0.0), (-2.0, -1.0)])
+    groups = [g for g in polygons.values() if len(g) >= 2] + [
+        [parallelogram, UnitDisk.square(),
+         UnitDisk.polygon([(1.0, -0.5), (0.2, 1.0), (-1.0, 0.5), (-0.2, -1.0)])],
+        [UnitDisk.lp(1.0, 64), UnitDisk.euclidean(64), UnitDisk.lp(1.5, 64),
+         UnitDisk.lp(8.0, 64), random_smooth_disk(rng, 64)]]
+    assert len(groups) >= 4
+    for group in groups:
+        Ps = []
+        for disk in group:
+            V, E = disk.vertices, disk._T.E
+            # vertex rays, edge midpoints and thirds (the flat stretches of
+            # lp(1.0, 64) and the parallelogram's sides), the zero vector
+            # and random vectors, at three scales
+            Q = np.concatenate([V, V + 0.5 * E, V + E / 3.0, np.zeros((1, 2)),
+                                rng.normal(0.0, 1.0, (16, 2))])
+            Ps.append(np.concatenate([Q * s for s in (2.0 ** -40, 1.0, 2.0 ** 40)]))
+        T = _Stack(np.stack([disk.vertices for disk in group]))
+        assert T.B == len(group) >= 2
+        P = np.concatenate(Ps)
+        base = T.rows(len(P))
+        cone, g = T.cone(*P.T, base), T.gauge(P, base)
+        for b, (disk, Pb) in enumerate(zip(group, Ps)):
+            rows = slice(b * len(Pb), (b + 1) * len(Pb))
+            np.testing.assert_array_equal(cone[rows], disk._T.cone(*Pb.T))
+            assert g[rows].tobytes() == disk._T.gauge(Pb).tobytes()
+            assert g[rows].tobytes() == gauge_many(disk, Pb).tobytes()
