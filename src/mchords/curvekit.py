@@ -10,6 +10,17 @@ every edge start, sound because the gauge of an affine path is convex.
 One kernel serves both halves: per pair of points it takes the gauge and
 both edge slopes from one callback of the norm, so the d-dimensional
 Chebyshev module reuses it.
+
+On a planar curve a certificate runs first (_run_certified).  The gauge
+is linear on each cone of the disk, so a box that holds every difference
+of two blocks of points bounds all their edge slopes at once; a row or
+column of pairs whose slopes are all proved positive cannot raise the
+deficit and is skipped.  The rest go through the same kernel terms and
+scans, so the verdict, deficit and witnesses are those of the plain
+kernel, bit for bit.  Where the curve's chords grow everywhere (the
+extremal Reuleaux chains) the work is a few percent of all pairs.  The
+Euclidean case of the bound is the half-plane characterisation of
+self-approaching curves (Icking, Klein and Langetepe, 1999).
 """
 
 from __future__ import annotations
@@ -20,12 +31,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GeometryError, UnsupportedDiskError
-from .normplane import UnitDisk, as_vec, gauge, gauge_many, _as_count, _gauge_slopes
+from .normplane import (TWO_PI, UnitDisk, as_vec, gauge, gauge_many, _as_count,
+                        _gauge_slopes)
 
 _BLOCK_ELEMS = 1 << 16  # pairs per row block of the chord kernel, at most
 _BLOCK_ROWS = 32  # rows per block, at most: a block discards B^2 / 2 pairs h <= l
 _PAST_VERTEX = 1e-6  # witness notation: j + 1e-6 is a point just past vertex j
 _MAX_WITNESSES = 16
+_CERT_BLOCKS = (32, 8)  # points per block of the chord certificate, by level
+_CERT_PAD = 1e-13  # radians added to each end of a box's angular range
+_CERT_WIDE = 0.9 * math.pi  # wider boxes prove nothing: the bound needs arcs under pi
+_CERT_ULPS = 256  # the certificate's margin, in eps * D * G (_run_certified)
+_CERT_SHARE = 0.5  # the certificate's exact work, at most, as a share of all pairs
 
 
 class Polyline:
@@ -36,13 +53,15 @@ class Polyline:
 
     __slots__ = ("points",)
 
-    def __init__(self, points):
+    def __init__(self, points, *, _scale=None):
+        """Consecutive points at most 1e-12 _scale apart are refused as
+        coincident; _scale is max(1, largest coordinate) by default."""
         P = np.array(points, dtype=float)
         if P.ndim != 2 or P.shape[1] != 2 or len(P) < 1:
             raise ValueError("Polyline: need an (n, 2) array with n >= 1")
         if not np.all(np.isfinite(P)):
             raise ValueError("Polyline: non-finite coordinates")
-        scale = max(1.0, float(np.abs(P).max()))
+        scale = max(1.0, float(np.abs(P).max())) if _scale is None else _scale
         if len(P) > 1:
             steps = np.hypot(*(P[1:] - P[:-1]).T)
             if steps.min() <= 1e-12 * scale:
@@ -185,6 +204,13 @@ def _run_two_sided(P: np.ndarray, pair_terms, tol: float):
         np.minimum(low[l0 + 1:], sr[int(l0 == 0):].min(axis=0, initial=np.inf),
                    out=low[l0 + 1:])
     re[1:] = -np.minimum(gE, low[1:])
+    return _two_sided_report(PT, ET, gET, pair_terms, fv, fe, rv, re, tol)
+
+
+def _two_sided_report(PT, ET, gET, pair_terms, fv, fe, rv, re, tol):
+    """max_deficit and witnesses from the four line arrays of a two-sided
+    check: deficits per forward row and per reversed column."""
+    n = len(fv)
     lines = np.concatenate([fv, fe, rv[::-1], re[::-1]])
 
     def line(kind, i):
@@ -199,6 +225,216 @@ def _run_two_sided(P: np.ndarray, pair_terms, tol: float):
                     (n - 1 - d, n - 1 - c, n - 1 - i, n - 1 - i), dfc)
             for kind, i, c, d, dfc in _witnesses(lines, tol, n, line)]
     return max(0.0, float(lines.max())), wits
+
+
+def _terms_at(PT, ET, gET, pair_terms, L, H, reverse=True):
+    """_pair_terms at gathered pairs: L and H are index arrays that
+    broadcast to one shape, w = P_H - P_L."""
+    W = PT[:, H] - PT[:, L]
+    g, sf, sr = pair_terms(W, ET[:, H + 1], ET[:, L] if reverse else None)
+    zero = g == 0.0
+    if zero.any():
+        L, H = np.broadcast_arrays(L, H)
+        at = np.nonzero(zero)
+        at = tuple(i[(PT[:, H[at]] == PT[:, L[at]]).all(axis=0)] for i in at)
+        sf[at] = gET[H[at] + 1]
+        if reverse:
+            sr[at] = gET[L[at]]
+    return g, sf, sr
+
+
+def _unproved_blocks(P, ET, terms, b, A, B, margin):
+    """The pairs (A, B) of blocks of b points, A <= B, whose slopes the
+    bound does not prove above margin, by the cone lookup and gradients
+    of terms, the disk's _Slopes; see _run_certified."""
+    n = len(P)
+    starts = np.arange(0, n, b)
+    nb = len(starts)
+    lo, hi = np.minimum.reduceat(P, starts), np.maximum.reduceat(P, starts)
+    # per block, entry (i, B): the edge along which point i of block B is
+    # left (E_h, forward) and reached (E_(l-1), reversed), as columns of
+    # ET; where there is none, a neighbour's, which can only fail a pair
+    at = np.arange(nb * b).reshape(nb, b).T
+    edges = [ET[:, k] for k in (np.minimum(at, n - 2) + 1, np.clip(at, 1, n - 1))]
+    out = []
+    step = max(1, _BLOCK_ELEMS // b)
+    for k in range(0, len(A), step):
+        a, c = A[k:k + step], B[k:k + step]
+        x0, y0 = (lo[c] - hi[a]).T  # the box of the differences P_h - P_l
+        x1, y1 = (hi[c] - lo[a]).T
+        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        xs, ys = np.stack([x0, x1, x0, x1]), np.stack([y0, y0, y1, y1])
+        turn = np.arctan2(cx * ys - cy * xs, cx * xs + cy * ys)  # from the centre
+        mid = np.arctan2(cy, cx)
+        t0 = mid + turn.min(axis=0) - _CERT_PAD
+        t1 = mid + turn.max(axis=0) + _CERT_PAD
+        j0, j1 = (terms.cone(terms.a0 + np.mod(t - terms.a0, TWO_PI)) for t in (t0, t1))
+        proved = ((x0 > 0.0) | (x1 < 0.0) | (y0 > 0.0) | (y1 < 0.0)) & (t1 - t0 < _CERT_WIDE)
+        gx0, gy0, gx1, gy1 = terms.gx[j0], terms.gy[j0], terms.gx[j1], terms.gy[j1]
+        for (ex, ey), blk in zip(edges, (c, a)):
+            ex, ey = ex[:, blk], ey[:, blk]
+            proved &= ((gx0 * ex + gy0 * ey >= margin)
+                       & (gx1 * ex + gy1 * ey >= margin)).all(axis=0)
+        out.append((a[~proved], c[~proved]))
+    return tuple(np.concatenate(x) for x in zip(*out))
+
+
+def _exact_blocks(PT, ET, gET, pair_terms, b, A, B, row_bad, col_bad):
+    """Mark in row_bad and col_bad the rows and columns with a slope below
+    0 or a step down in gauge, at the pairs (A, B) of blocks of b points,
+    from their exact terms; the number of pairs evaluated.  Rows a0 - 1
+    .. a1 - 1 and columns b0 .. b1 are taken, one more each way for the
+    steps across the blocks' edges."""
+    n = PT.shape[1]
+    pairs = 0
+    step = max(1, _BLOCK_ELEMS // (b + 1) ** 2)
+    for k in range(0, len(A), step):
+        a, c = A[k:k + step], B[k:k + step]
+        R = a[:, None] * b - 1 + np.arange(b + 1)
+        C = c[:, None] * b + np.arange(b + 1)
+        g, sf, sr = _terms_at(PT, ET, gET, pair_terms, np.clip(R, 0, n - 1)[:, :, None],
+                              np.minimum(C, n - 1)[:, None, :])
+        pairs += g.size
+        l, h = np.broadcast_arrays(R[:, 1:, None], C[:, None, :-1])
+        gl = g[:, 1:, :-1]
+        bad = (l < h) & (h <= n - 2) & ((sf[:, 1:, :-1] < 0.0) | (g[:, 1:, 1:] < gl))
+        row_bad[l[bad]] = True
+        bad = (1 <= l) & (l < h) & (h < n) & ((sr[:, 1:, :-1] < 0.0) | (g[:, :-1, :-1] < gl))
+        col_bad[h[bad]] = True
+    return pairs
+
+
+def _chunks(idx, n):
+    """idx in runs of at most _BLOCK_ELEMS // n entries, in order."""
+    step = max(1, _BLOCK_ELEMS // n)
+    return [idx[k:k + step] for k in range(0, len(idx), step)]
+
+
+def _row_lines(PT, ET, gET, pair_terms, rows, fv, fe):
+    """fv and fe of the given forward rows, as _run_two_sided's scan; the
+    number of pairs evaluated."""
+    n, pairs = PT.shape[1], 0
+    for chunk in _chunks(rows, n):
+        c0 = int(chunk[0]) + 1
+        L, H = chunk[:, None], np.arange(c0, n)[None, :]
+        g, sf, _ = _terms_at(PT, ET, gET, pair_terms, L, H, reverse=False)
+        dead = H <= L
+        run = np.maximum.accumulate(np.where(dead, -np.inf, g), axis=1)
+        fv[chunk] = (run[:, :-1] - g[:, 1:]).max(axis=1, initial=-np.inf)
+        s = np.where(dead, np.inf, sf)[:, :-1]  # no edge starts at the last point
+        fe[chunk] = -np.minimum(gET[chunk + 1], s.min(axis=1, initial=np.inf))
+        pairs += g.size
+    return pairs
+
+
+def _col_lines(PT, ET, gET, pair_terms, cols, rv, re):
+    """rv and re of the given reversed columns, as _run_two_sided's scan;
+    the number of pairs evaluated."""
+    n, pairs = PT.shape[1], 0
+    for chunk in _chunks(cols, n):
+        L, H = np.arange(int(chunk[-1]))[:, None], chunk[None, :]
+        g, _, sr = _terms_at(PT, ET, gET, pair_terms, L, H)
+        dead = L >= H
+        run = np.maximum.accumulate(np.where(dead, -np.inf, g)[::-1], axis=0)[::-1]
+        rv[chunk] = (run[1:] - g[:-1]).max(axis=0, initial=-np.inf)
+        s = np.where(dead, np.inf, sr)[1:]  # no edge ends at the first point
+        re[chunk] = -np.minimum(gET[chunk], s.min(axis=0, initial=np.inf))
+        pairs += g.size
+    return pairs
+
+
+def _certified_lines(P, PT, ET, gET, pair_terms, share):
+    """(fv, fe, rv, re) of _run_two_sided, with -inf on the lines the
+    certificate proves, and the number of pairs evaluated; None for the
+    lines once the exact work would pass `share` pairs."""
+    n = len(P)
+    margin = (_CERT_ULPS * np.finfo(float).eps * math.hypot(*np.ptp(P, axis=0))
+              * float(np.hypot(pair_terms.gx, pair_terms.gy).max()))
+    if not math.isfinite(margin):  # coordinates whose differences overflow
+        return None, 0
+    A, B = np.triu_indices(-(-n // _CERT_BLOCKS[0]))
+    for b, sub in zip(_CERT_BLOCKS, _CERT_BLOCKS[1:] + (0,)):
+        A, B = _unproved_blocks(P, ET, pair_terms, b, A, B, margin)
+        if len(A) * b * b > share:
+            return None, 0
+        if sub:  # the pairs of sub-blocks of the pairs left
+            k = b // sub
+            A = (A[:, None] * k + np.arange(k))[:, :, None]
+            B = (B[:, None] * k + np.arange(k))[:, None, :]
+            A, B = (x[(A <= B) & (B < -(-n // sub))] for x in np.broadcast_arrays(A, B))
+    row_bad, col_bad = np.zeros((2, n), dtype=bool)
+    pairs = _exact_blocks(PT, ET, gET, pair_terms, b, A, B, row_bad, col_bad)
+    rows, cols = np.flatnonzero(row_bad), np.flatnonzero(col_bad)
+    if (n - 1 - rows).sum() + cols.sum() > share:
+        return None, pairs
+    fv, fe, rv, re = lines = np.full((4, n), -np.inf)
+    pairs += _row_lines(PT, ET, gET, pair_terms, rows, fv, fe)
+    pairs += _col_lines(PT, ET, gET, pair_terms, cols, rv, re)
+    return lines, pairs
+
+
+def _run_certified(P: np.ndarray, pair_terms, tol: float):
+    """_run_two_sided on a planar curve, skipping the rows and columns that
+    a certificate proves: the same max_deficit and witnesses, bit for bit,
+    and the number of pairs evaluated through the callback.  pair_terms
+    is the disk's _Slopes.  A curve on which the certificate would
+    evaluate more than _CERT_SHARE of all pairs goes to _run_two_sided
+    instead, which evaluates them all.
+
+    The bound.  On cone j of the disk the gauge is <a_j, w>, a_j its
+    gradient, and its right slope along e at w is the largest <a_j, e>
+    over the cones holding w.  Cut the curve into blocks of b points.
+    For blocks A <= B, every difference w = P_h - P_l (l in A, h in B)
+    lies in the box B - A; float subtraction is monotone, so the float
+    differences do too.  When the box misses the origin its directions
+    fill an arc, narrower than pi, between two of its corners; the cones
+    meeting that arc, padded by _CERT_PAD against rounding, are a run
+    J = j0 .. j1 of the disk's cones.  Around the polar polygon <a_j, e>
+    is bitonic, least on the cone of -e, so over J it is least at j0 or
+    j1 unless J holds the cone of -e.  That case needs no test: the
+    cones where <a_j, e> <= 0 fill an arc of at least pi (from a support
+    point of normal perpendicular to e to its antipode), and a run whose
+    own arc is under _CERT_WIDE < pi cannot hold it and reach past both
+    its ends, so an end of J has <a_j, e> <= 0 and fails the margin.
+    So min(<a_j0, E>, <a_j1, E>) >= margin for every edge E_h of B and
+    E_(l-1) of A proves every forward and reversed slope of the block
+    pair.  Pairs not proved are split into blocks of the next size in
+    _CERT_BLOCKS and bounded again; the last are evaluated exactly
+    (_exact_blocks).
+
+    The lines.  The gauge along an edge is convex, so a proved slope
+    makes the gauge grow over the whole edge.  A row l whose slopes are
+    all proved, or, where evaluated, are >= 0 with gauge(P_(h+1) - P_l)
+    >= gauge(P_h - P_l) in floats, has a nondecreasing float gauge: its
+    vertex line (running max less the next value) and its edge line are
+    <= 0, as are a column's.  Such lines change neither max(0,
+    lines.max()) nor the witnesses, which come from lines above tol >=
+    0, and are left at -inf.  Every other row and column is scanned in
+    full by the kernel's terms, which are elementwise, so the floats are
+    those of the plain kernel.
+
+    The margin is _CERT_ULPS eps D G: D the diagonal of the curve's
+    bounding box (|w|, |E| <= D), G the largest |a_j| (the gauge's
+    Lipschitz constant), u = eps / 2.  A float slope <a_j, E> errs by
+    at most 3 u G |E|, and the float edge by u |E|.  A float angle errs
+    by at most 2.5e-15 (about 23 u), well inside the padding, and puts w
+    at worst in a cone whose functional is below the gauge by 2 G |w|
+    23 u; with the rounded difference (u G |w|) and the formula (4 u G
+    |w|), a float gauge errs by at most 51 u G D.  A proved slope thus
+    gives an exact increment of at least margin - 4 u G D and a float
+    one of at least margin - 106 u G D, which is positive with 256 eps
+    = 512 u.
+    """
+    n, b = len(P), _CERT_BLOCKS[0]
+    share = _CERT_SHARE * n * (n - 1) / 2
+    lines, pairs = None, 0
+    if -(-n // b) * b * b <= share:  # the blocks along the diagonal, exactly
+        PT = np.ascontiguousarray(P.T)
+        ET, gET = _edge_table(P, pair_terms)
+        lines, pairs = _certified_lines(P, PT, ET, gET, pair_terms, share)
+    if lines is None:
+        return _run_two_sided(P, pair_terms, tol) + (pairs + n * (n - 1) // 2,)
+    return _two_sided_report(PT, ET, gET, pair_terms, *lines, tol) + (pairs,)
 
 
 def _witnesses(lines, tol, n, line):
@@ -256,7 +492,7 @@ def check_increasing_chords(disk: UnitDisk, curve: Polyline,
     if len(curve) < 2:
         raise ValueError("check_increasing_chords: need at least 2 points")
     tol = _default_tol(disk, tol)
-    deficit, wits = _run_two_sided(curve.points, _gauge_slopes(disk), tol)
+    deficit, wits, _ = _run_certified(curve.points, _gauge_slopes(disk), tol)
     mode = "exact_polygonal" if disk.is_polygonal else "tolerance"
     return ChordReport(holds=deficit <= tol, max_deficit=deficit,
                        witnesses=wits, mode=mode, tol=tol)
@@ -399,7 +635,9 @@ def convexify(curve: Polyline) -> Polyline:
     edges, or edges parallel to rounding) is dropped, which merges them.
     The multiset of edge vectors is kept up to that merging, so the
     arclength in every norm is kept to rounding.  Already-sorted curves
-    are returned as an identical copy.
+    are returned as an identical copy.  The output's steps are measured
+    against the input's scale: the rearranged curve can reach larger
+    coordinates, and an edge the input's rule accepted stays accepted.
     """
     if not is_x_monotone(curve):
         raise GeometryError("convexify: curve must be strictly x-monotone")
@@ -417,5 +655,5 @@ def convexify(curve: Polyline) -> Polyline:
         a = np.arctan2(F[:, 1], F[:, 0])
         keep = np.concatenate([[True], a[:-1] > a[1:], [True]])
         if keep.all():
-            return Polyline(Q)
+            return Polyline(Q, _scale=max(1.0, float(np.abs(P).max())))
         Q = Q[keep]

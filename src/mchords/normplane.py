@@ -327,14 +327,14 @@ class UnitDisk:
 
     @classmethod
     def euclidean(cls, n: int = DEFAULT_RESOLUTION) -> "UnitDisk":
-        return cls._mirrored(_half_circle(n), "euclidean", True)
+        return cls._mirrored(_half_circle(n, "euclidean"), "euclidean", True)
 
     @classmethod
     def lp(cls, p: float, n: int = DEFAULT_RESOLUTION) -> "UnitDisk":
         p = float(p)
         if not (p >= 1.0 and math.isfinite(p)):
             raise InvalidDiskError("lp: exponent must be a finite real >= 1, got %r" % p)
-        half = _half_circle(n)
+        half = _half_circle(n, "lp")
         norms = (np.abs(half[:, 0]) ** p + np.abs(half[:, 1]) ** p) ** (1.0 / p)
         # by construction: a test on the samples would call p >= 8 flat,
         # since its samples near the axes are collinear to rounding
@@ -390,10 +390,14 @@ class UnitDisk:
         return "UnitDisk(kind=%r, n=%d)" % (self.kind, len(self.vertices))
 
 
-def _half_circle(n: int) -> np.ndarray:
-    n = int(n)
+def _half_circle(n: int, what: str) -> np.ndarray:
+    """The first half of the n-gon inscribed in the unit circle, n even
+    (odd n is rounded up) and at least 8; what names the constructor."""
+    n = _as_count(n, what + ": resolution")
     if n < 8:
-        raise InvalidDiskError("resolution too small: %d" % n)
+        raise InvalidDiskError("%s: resolution too small: %d" % (what, n))
+    if n > np.iinfo(np.intp).max // 16:  # the ring's n vertices, 16 bytes each
+        raise InvalidDiskError("%s: resolution too large to allocate: %d" % (what, n))
     if n % 2:
         n += 1
     th = np.arange(n // 2) * (TWO_PI / n)

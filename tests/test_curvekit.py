@@ -355,6 +355,23 @@ def test_convexify_keeps_float_endpoints_and_lengths():
             assert abs(arclength(disk, out) - ref) <= 1e-14 * ref
 
 
+def test_convexify_keeps_a_curve_it_accepted():
+    # the 3.6e-9 edge passes Polyline's rule at the input's scale (1e-12 *
+    # 2000); the convexified curve reaches y = 4000, and measured at its
+    # own scale it was refused: "points 1 and 2 coincide"
+    P = np.array([(0.0, 0.0), (1.0, 2000.0), (2.0, 0.0), (3.0, 2000.0),
+                  (3.0 + 3.6e-9, 2000.0 + 1e-9), (4.0, 0.0)])
+    curve = Polyline(P)
+    out = convexify(curve)
+    # the two edges (1, 2000) are parallel and merge
+    assert len(out) == 5 and out.points[:, 1].max() > 3999.0
+    assert np.array_equal(out.points[0], P[0]) and np.array_equal(out.points[-1], P[-1])
+    assert is_x_monotone(out) and _angles_strictly_decrease(out)
+    for disk in (UnitDisk.square(), UnitDisk.euclidean(1024)):
+        ref = arclength(disk, curve)
+        assert abs(arclength(disk, out) - ref) <= 1e-14 * ref
+
+
 def test_convexify_rejects_non_monotone():
     with pytest.raises(GeometryError):
         convexify(Polyline([(0, 0), (1, 0), (0.5, 0.1)]))

@@ -440,6 +440,9 @@ _CIRCLE = UnitDisk.euclidean(256)
         _CIRCLE, ConvexBody.from_disk(_CIRCLE), _CIRCLE.vertices[0], 0.0, 1.0, n), 5),
     ("bisector_sample: n",
      lambda n: bisector_sample(_CIRCLE, (0, 0), (1, 0), (-1.0, 1.0), n), 3),
+    # 64.7 built a 64-gon and lp(3, 9.5) a 10-gon
+    ("euclidean: resolution", UnitDisk.euclidean, 64),
+    ("lp: resolution", lambda n: UnitDisk.lp(3.0, n), 10),
 ])
 def test_counts_refuse_non_integral_values(named, call, good):
     # a count is taken through operator.index: numpy integers pass, while
@@ -448,6 +451,20 @@ def test_counts_refuse_non_integral_values(named, call, good):
     for bad in (good + 0.5, float(good)):
         with pytest.raises(ValueError, match=re.escape(named + " must be an integer")):
             call(bad)
+
+
+def test_a_resolution_too_large_to_allocate_is_refused():
+    # 2**70 used to fail inside numpy ("Maximum allowed size exceeded");
+    # the check comes before any allocation
+    spec = {"kind": "builtin", "name": "euclidean"}
+    for build in (lambda n: UnitDisk.euclidean(n), lambda n: UnitDisk.lp(3.0, n),
+                  lambda n: UnitDisk.from_spec(spec, n)):
+        for n in (2 ** 70, 2 ** 60):
+            with pytest.raises(InvalidDiskError, match="resolution too large to allocate"):
+                build(n)
+        with pytest.raises(InvalidDiskError, match="resolution too small: 6"):
+            build(6)
+    assert len(UnitDisk.lp(3.0, 9).vertices) == 10  # odd rounds up, as before
 
 
 def test_stacked_cones_and_gauges_match_each_disks_own():
