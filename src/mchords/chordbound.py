@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GeometryError
 from .normplane import (ConvexBody, UnitDisk, as_vec, gauge, gauge_many,
                         unit_vectors, locate_on_boundary, _as_count, _cross,
-                        _gauge_slopes, _shift, _Stack, _vertices_of, _wedge_of)
+                        _gauge_slopes, _shift, _Stack, _vertices_of)
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ def _arc(disk: UnitDisk, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     1e-12 * scale to a neighbour are dropped, so a and b stay exact."""
     V = disk.vertices
     n = len(V)
-    ja, jb = _wedge_of(disk, *np.array([a, b]).T)
+    ja, jb = disk._T.cone(*np.array([a, b]).T)
     P = np.concatenate([a[None, :], V[(ja + 1 + np.arange((jb - ja) % n)) % n],
                         b[None, :]])
     far = np.hypot(*np.diff(P, axis=0).T) > 1e-12 * max(1.0, float(np.abs(V).max()))
@@ -382,7 +382,7 @@ def inscribed_hexagon(disk: UnitDisk, p) -> Hexagon:
     V = disk.vertices
     n = len(V)
     tiny = 1e-12 * max(1.0, float(np.abs(V).max()))
-    j = int(_wedge_of(disk, *q[:, None])[0])
+    j = int(disk._T.cone(*q[:, None])[0])
     if math.hypot(*(V[(j + 1) % n] - q)) <= tiny:
         j = (j + 1) % n
     e_out = disk._T.E[j]
@@ -472,7 +472,7 @@ def reuleaux_two_sides(body: ConvexBody, a, b) -> np.ndarray:
 # -- the bounding parallelogram certificate -------------------------------
 
 def _edge_direction_at(disk: UnitDisk, x: np.ndarray) -> np.ndarray:
-    j = int(_wedge_of(disk, *x[:, None])[0])
+    j = int(disk._T.cone(*x[:, None])[0])
     V = disk.vertices
     e = V[(j + 1) % len(V)] - V[j]
     return e / math.hypot(e[0], e[1])

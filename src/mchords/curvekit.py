@@ -9,18 +9,22 @@ every edge start, sound because the gauge of an affine path is convex.
 
 One kernel serves both halves: per pair of points it takes the gauge and
 both edge slopes from one callback of the norm, so the d-dimensional
-Chebyshev module reuses it.
+Chebyshev module reuses it.  A check builds its tables once (_tables),
+gathers every pair it evaluates by _terms_at and reports once; points so
+far apart that a gauge could overflow are refused (GeometryError).
 
 On a planar curve a certificate runs first (_run_certified).  The gauge
 is linear on each cone of the disk, so a box that holds every difference
 of two blocks of points bounds all their edge slopes at once; a row or
 column of pairs whose slopes are all proved positive cannot raise the
-deficit and is skipped.  The rest go through the same kernel terms and
-scans, so the verdict, deficit and witnesses are those of the plain
-kernel, bit for bit.  Where the curve's chords grow everywhere (the
-extremal Reuleaux chains) the work is a few percent of all pairs.  The
-Euclidean case of the bound is the half-plane characterisation of
-self-approaching curves (Icking, Klein and Langetepe, 1999).
+deficit and is skipped.  The rest go through the same kernel terms, so
+the verdict, deficit and witnesses are those of the plain scan
+(_plain_scan), bit for bit; a curve the certificate cannot help takes
+the plain scan on the same tables.  Where the curve's chords grow
+everywhere (the extremal Reuleaux chains) the work is a few percent of
+all pairs.  The Euclidean case of the bound is the half-plane
+characterisation of self-approaching curves (Icking, Klein and
+Langetepe, 1999).
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ class Polyline:
             raise ValueError("Polyline: non-finite coordinates")
         scale = max(1.0, float(np.abs(P).max())) if _scale is None else _scale
         if len(P) > 1:
-            steps = np.hypot(*(P[1:] - P[:-1]).T)
+            with np.errstate(over="ignore"):  # an infinite step does not coincide
+                steps = np.hypot(*(P[1:] - P[:-1]).T)
             if steps.min() <= 1e-12 * scale:
                 k = int(np.argmin(steps))
                 raise ValueError("Polyline: points %d and %d coincide" % (k, k + 1))
@@ -134,59 +139,61 @@ class BisectorSample:
 
 # -- chord kernel ---------------------------------------------------------
 
-def _pair_terms(PT, ET, gET, pair_terms, l0, l1, h0, h1, reverse=True):
+def _tables(P, pair_terms, anchors=None):
+    """The tables every chord scan reads, for the curve P of shape (n, d):
+    PT, its points component first, then the anchors, if given, as
+    columns n, n + 1, ...; ET, with ET[:, k + 1] = E_k and zeros where
+    no edge is; and gET, the gauges of ET's columns."""
+    n = len(P)
+    PT = np.ascontiguousarray((P if anchors is None else np.concatenate([P, anchors])).T)
+    ET = np.zeros((P.shape[1], n + 1))
+    ET[:, 1:n] = PT[:, 1:n] - PT[:, :n - 1]
+    return PT, ET, pair_terms(ET[:, None, :], None, None)[0][0]
+
+
+def _terms_at(PT, ET, gET, pair_terms, L, H, reverse=True):
     """gauge(w) and its right derivatives along E_h and, if `reverse`,
-    along E_{l-1} (else None) for the pairs l0 <= l < l1, h0 <= h < h1,
-    w = P_h - P_l; see _edge_table.
+    along E_(l-1) (else None) at the pairs (l, h) of the index arrays L
+    and H, which broadcast to one shape, w = P_h - P_l; see _tables.
 
     The norm's callback pair_terms(W, Ef, Er) takes W component first,
-    (dim, B, N), and edges that broadcast against it, or None for a
+    (dim, ...), and edges that broadcast against it, or None for a
     derivative not needed.  At w = 0 the derivative along e is gauge(e).
     """
-    W = PT[:, None, h0:h1] - PT[:, l0:l1, None]
-    g, sf, sr = pair_terms(W, ET[:, None, h0 + 1:h1 + 1],
-                           ET[:, l0:l1, None] if reverse else None)
+    W = PT.take(H, axis=1) - PT.take(L, axis=1)  # C-ordered, unlike PT[:, H]: faster
+    g, sf, sr = pair_terms(W, ET.take(H + 1, axis=1), ET.take(L, axis=1) if reverse else None)
     zero = g == 0.0
     if zero.any():  # rare, and np.nonzero of a 2-d mask is slow
+        L, H = np.broadcast_arrays(L, H)
         at = np.nonzero(zero)
-        at = tuple(i[(PT[:, at[1] + h0] == PT[:, at[0] + l0]).all(axis=0)] for i in at)
-        sf[at] = gET[at[1] + h0 + 1]
+        at = tuple(i[(PT[:, H[at]] == PT[:, L[at]]).all(axis=0)] for i in at)
+        sf[at] = gET[H[at] + 1]
         if reverse:
-            sr[at] = gET[at[0] + l0]
+            sr[at] = gET[L[at]]
     return g, sf, sr
 
 
-def _edge_table(P, pair_terms):
-    """ET[:, k + 1] = E_k, zero where no edge is, and the gauges gET of
-    its columns."""
-    ET = np.zeros((P.shape[1], len(P) + 1))
-    ET[:, 1:len(P)] = (P[1:] - P[:-1]).T
-    return ET, pair_terms(ET[:, None, :], None, None)[0][0]
-
-
-def _run_two_sided(P: np.ndarray, pair_terms, tol: float):
-    """Both halves of the reduction on an open polyline P of shape (n, d).
+def _plain_scan(PT, ET, gET, pair_terms):
+    """(fv, fe, rv, re): both halves of the reduction on every pair of an
+    open polyline, deficits per forward row and per reversed column.
 
     Each pair l < h is evaluated once: gauge(w) serves the vertex scans of
     both halves (gauge(-w) = gauge(w)), the slope along E_h the forward
     edge test at anchor l, the slope along E_{l-1} the reversed one at h.
     Row blocks go bottom up; a reversed scan runs up a column and carries
-    a running max or min per column, so memory is O(block + n).  Column h
-    of a reversed scan is row n - 1 - h of the reversed curve, the order
-    in which _witnesses ranks and places it.
+    a running max or min per column, so memory is O(block + n).
     """
-    n = len(P)
-    PT = np.ascontiguousarray(P.T)
-    ET, gET = _edge_table(P, pair_terms)
+    n = PT.shape[1]
     gE = gET[1:n]
-    fv, fe, rv, re = np.full((4, n), -np.inf)  # deficit per row, per column
+    fv, fe, rv, re = lines = np.full((4, n), -np.inf)
     # per column: max gauge, min reversed slope over the rows done so far
     top, low = np.full(n, -np.inf), np.full(n, np.inf)
     step = max(1, min(_BLOCK_ELEMS // n, _BLOCK_ROWS))
     for l1 in range(n - 1, 0, -step):
         l0 = max(0, l1 - step)
         B = l1 - l0
-        g, sf, sr = _pair_terms(PT, ET, gET, pair_terms, l0, l1, l0 + 1, n)
+        g, sf, sr = _terms_at(PT, ET, gET, pair_terms, np.arange(l0, l1)[:, None],
+                              np.arange(l0 + 1, n)[None, :])
         dead = np.arange(B - 1)[None, :] < np.arange(B)[:, None]  # h <= l
         D = np.vstack([g, top[l0 + 1:]])
         D[:B, :B - 1][dead] = -np.inf
@@ -204,43 +211,38 @@ def _run_two_sided(P: np.ndarray, pair_terms, tol: float):
         np.minimum(low[l0 + 1:], sr[int(l0 == 0):].min(axis=0, initial=np.inf),
                    out=low[l0 + 1:])
     re[1:] = -np.minimum(gE, low[1:])
-    return _two_sided_report(PT, ET, gET, pair_terms, fv, fe, rv, re, tol)
+    return lines
+
+
+def _run_two_sided(P: np.ndarray, pair_terms, tol: float):
+    """(max_deficit, witnesses) of the two-sided reduction on every pair
+    of an open polyline P of shape (n, d); pair_terms as in _terms_at."""
+    tables = _tables(P, pair_terms)
+    return _two_sided_report(*tables, pair_terms, *_plain_scan(*tables, pair_terms), tol)
 
 
 def _two_sided_report(PT, ET, gET, pair_terms, fv, fe, rv, re, tol):
     """max_deficit and witnesses from the four line arrays of a two-sided
-    check: deficits per forward row and per reversed column."""
+    check: deficits per forward row and per reversed column.  Column h
+    of a reversed scan is row n - 1 - h of the reversed curve, the order
+    in which _witnesses ranks and places it."""
     n = len(fv)
     lines = np.concatenate([fv, fe, rv[::-1], re[::-1]])
 
     def line(kind, i):
         if kind < 2:
-            g, s, _ = _pair_terms(PT, ET, gET, pair_terms, i, i + 1, i, n)
+            g, s, _ = _terms_at(PT, ET, gET, pair_terms, np.array([[i]]),
+                                np.arange(i, n)[None, :], reverse=False)
             return i, g[0], s[0]
         h = n - 1 - i  # column h, read upward, is row i of the reversed curve
-        g, _, s = _pair_terms(PT, ET, gET, pair_terms, 0, h + 1, h, h + 1)
+        g, _, s = _terms_at(PT, ET, gET, pair_terms, np.arange(h + 1)[:, None],
+                            np.array([[h]]))
         return i, g[::-1, 0], s[::-1, 0]
 
     wits = [Witness((i, i, c, d) if kind < 2 else
                     (n - 1 - d, n - 1 - c, n - 1 - i, n - 1 - i), dfc)
             for kind, i, c, d, dfc in _witnesses(lines, tol, n, line)]
     return max(0.0, float(lines.max())), wits
-
-
-def _terms_at(PT, ET, gET, pair_terms, L, H, reverse=True):
-    """_pair_terms at gathered pairs: L and H are index arrays that
-    broadcast to one shape, w = P_H - P_L."""
-    W = PT[:, H] - PT[:, L]
-    g, sf, sr = pair_terms(W, ET[:, H + 1], ET[:, L] if reverse else None)
-    zero = g == 0.0
-    if zero.any():
-        L, H = np.broadcast_arrays(L, H)
-        at = np.nonzero(zero)
-        at = tuple(i[(PT[:, H[at]] == PT[:, L[at]]).all(axis=0)] for i in at)
-        sf[at] = gET[H[at] + 1]
-        if reverse:
-            sr[at] = gET[L[at]]
-    return g, sf, sr
 
 
 def _unproved_blocks(P, ET, terms, b, A, B, margin):
@@ -310,48 +312,39 @@ def _chunks(idx, n):
     return [idx[k:k + step] for k in range(0, len(idx), step)]
 
 
-def _row_lines(PT, ET, gET, pair_terms, rows, fv, fe):
-    """fv and fe of the given forward rows, as _run_two_sided's scan; the
-    number of pairs evaluated."""
+def _scan_lines(PT, ET, gET, pair_terms, idx, v, e, forward):
+    """v and e, _plain_scan's vertex and edge deficits, of the given
+    forward rows or, if not `forward`, reversed columns; the number of
+    pairs evaluated."""
     n, pairs = PT.shape[1], 0
-    for chunk in _chunks(rows, n):
-        c0 = int(chunk[0]) + 1
-        L, H = chunk[:, None], np.arange(c0, n)[None, :]
-        g, sf, _ = _terms_at(PT, ET, gET, pair_terms, L, H, reverse=False)
-        dead = H <= L
-        run = np.maximum.accumulate(np.where(dead, -np.inf, g), axis=1)
-        fv[chunk] = (run[:, :-1] - g[:, 1:]).max(axis=1, initial=-np.inf)
-        s = np.where(dead, np.inf, sf)[:, :-1]  # no edge starts at the last point
-        fe[chunk] = -np.minimum(gET[chunk + 1], s.min(axis=1, initial=np.inf))
-        pairs += g.size
-    return pairs
-
-
-def _col_lines(PT, ET, gET, pair_terms, cols, rv, re):
-    """rv and re of the given reversed columns, as _run_two_sided's scan;
-    the number of pairs evaluated."""
-    n, pairs = PT.shape[1], 0
-    for chunk in _chunks(cols, n):
-        L, H = np.arange(int(chunk[-1]))[:, None], chunk[None, :]
-        g, _, sr = _terms_at(PT, ET, gET, pair_terms, L, H)
+    for chunk in _chunks(idx, n):
+        if forward:  # row l, from column l + 1 on
+            L, H = chunk[:, None], np.arange(int(chunk[0]) + 1, n)[None, :]
+            g, s, _ = _terms_at(PT, ET, gET, pair_terms, L, H, reverse=False)
+        else:  # column h, from row h - 1 down
+            L, H = np.arange(int(chunk[-1]) - 1, -1, -1)[None, :], chunk[:, None]
+            g, _, s = _terms_at(PT, ET, gET, pair_terms, L, H)
         dead = L >= H
-        run = np.maximum.accumulate(np.where(dead, -np.inf, g)[::-1], axis=0)[::-1]
-        rv[chunk] = (run[1:] - g[:-1]).max(axis=0, initial=-np.inf)
-        s = np.where(dead, np.inf, sr)[1:]  # no edge ends at the first point
-        re[chunk] = -np.minimum(gET[chunk], s.min(axis=0, initial=np.inf))
+        run = np.maximum.accumulate(np.where(dead, -np.inf, g), axis=1)
+        v[chunk] = (run[:, :-1] - g[:, 1:]).max(axis=1, initial=-np.inf)
+        # no edge starts at the last point, nor ends at the first; the
+        # line's own edge is E_l forward, E_(h-1) reversed
+        s = np.where(dead, np.inf, s)[:, :-1]
+        e[chunk] = -np.minimum(gET[chunk + int(forward)], s.min(axis=1, initial=np.inf))
         pairs += g.size
     return pairs
 
 
 def _certified_lines(P, PT, ET, gET, pair_terms, share):
-    """(fv, fe, rv, re) of _run_two_sided, with -inf on the lines the
+    """(fv, fe, rv, re) of _plain_scan, with -inf on the lines the
     certificate proves, and the number of pairs evaluated; None for the
     lines once the exact work would pass `share` pairs."""
     n = len(P)
-    margin = (_CERT_ULPS * np.finfo(float).eps * math.hypot(*np.ptp(P, axis=0))
-              * float(np.hypot(pair_terms.gx, pair_terms.gy).max()))
-    if not math.isfinite(margin):  # coordinates whose differences overflow
+    D = math.hypot(*np.ptp(P, axis=0))
+    if not math.isfinite(2.0 * D * D):  # the box arithmetic of _unproved_blocks
         return None, 0
+    margin = (_CERT_ULPS * np.finfo(float).eps * D
+              * float(np.hypot(pair_terms.gx, pair_terms.gy).max()))
     A, B = np.triu_indices(-(-n // _CERT_BLOCKS[0]))
     for b, sub in zip(_CERT_BLOCKS, _CERT_BLOCKS[1:] + (0,)):
         A, B = _unproved_blocks(P, ET, pair_terms, b, A, B, margin)
@@ -368,8 +361,8 @@ def _certified_lines(P, PT, ET, gET, pair_terms, share):
     if (n - 1 - rows).sum() + cols.sum() > share:
         return None, pairs
     fv, fe, rv, re = lines = np.full((4, n), -np.inf)
-    pairs += _row_lines(PT, ET, gET, pair_terms, rows, fv, fe)
-    pairs += _col_lines(PT, ET, gET, pair_terms, cols, rv, re)
+    pairs += _scan_lines(PT, ET, gET, pair_terms, rows, fv, fe, True)
+    pairs += _scan_lines(PT, ET, gET, pair_terms, cols, rv, re, False)
     return lines, pairs
 
 
@@ -378,8 +371,8 @@ def _run_certified(P: np.ndarray, pair_terms, tol: float):
     a certificate proves: the same max_deficit and witnesses, bit for bit,
     and the number of pairs evaluated through the callback.  pair_terms
     is the disk's _Slopes.  A curve on which the certificate would
-    evaluate more than _CERT_SHARE of all pairs goes to _run_two_sided
-    instead, which evaluates them all.
+    evaluate more than _CERT_SHARE of all pairs, or whose box products (up
+    to 2 D^2, D below) would overflow, takes _plain_scan on the same tables.
 
     The bound.  On cone j of the disk the gauge is <a_j, w>, a_j its
     gradient, and its right slope along e at w is the largest <a_j, e>
@@ -427,14 +420,13 @@ def _run_certified(P: np.ndarray, pair_terms, tol: float):
     """
     n, b = len(P), _CERT_BLOCKS[0]
     share = _CERT_SHARE * n * (n - 1) / 2
+    tables = _tables(P, pair_terms)
     lines, pairs = None, 0
     if -(-n // b) * b * b <= share:  # the blocks along the diagonal, exactly
-        PT = np.ascontiguousarray(P.T)
-        ET, gET = _edge_table(P, pair_terms)
-        lines, pairs = _certified_lines(P, PT, ET, gET, pair_terms, share)
+        lines, pairs = _certified_lines(P, *tables, pair_terms, share)
     if lines is None:
-        return _run_two_sided(P, pair_terms, tol) + (pairs + n * (n - 1) // 2,)
-    return _two_sided_report(PT, ET, gET, pair_terms, *lines, tol) + (pairs,)
+        lines, pairs = _plain_scan(*tables, pair_terms), pairs + n * (n - 1) // 2
+    return _two_sided_report(*tables, pair_terms, *lines, tol) + (pairs,)
 
 
 def _witnesses(lines, tol, n, line):
@@ -465,6 +457,16 @@ def _checked_tol(tol) -> float:
     return tol
 
 
+def _check_extent(what, points, reach):
+    """Refuse points whose chord scan could overflow: D reach must be
+    finite, D the diagonal of their bounding box and reach the largest
+    factor by which the norm's callback multiplies a difference."""
+    with np.errstate(over="ignore"):
+        D = math.hypot(*np.ptp(points, axis=0))
+    if not math.isfinite(D * reach):
+        raise GeometryError("%s: the points span %.17g; their gauges would overflow" % (what, D))
+
+
 def _default_tol(disk: UnitDisk, tol):
     if tol is not None:
         return _checked_tol(tol)
@@ -492,7 +494,9 @@ def check_increasing_chords(disk: UnitDisk, curve: Polyline,
     if len(curve) < 2:
         raise ValueError("check_increasing_chords: need at least 2 points")
     tol = _default_tol(disk, tol)
-    deficit, wits, _ = _run_certified(curve.points, _gauge_slopes(disk), tol)
+    terms = _gauge_slopes(disk)
+    _check_extent("check_increasing_chords", curve.points, terms.reach)
+    deficit, wits, _ = _run_certified(curve.points, terms, tol)
     mode = "exact_polygonal" if disk.is_polygonal else "tolerance"
     return ChordReport(holds=deficit <= tol, max_deficit=deficit,
                        witnesses=wits, mode=mode, tol=tol)
@@ -517,27 +521,23 @@ def check_increasing_wrt_set(disk: UnitDisk, curve: Polyline, anchors,
     tol = _default_tol(disk, tol)
     pair_terms = _gauge_slopes(disk)
     P = curve.points
+    _check_extent("check_increasing_wrt_set", np.concatenate([P, A]), pair_terms.reach)
     n, m = len(P), len(A)
     # anchors are rows n.. of the point table, curve points its columns
-    PT = np.ascontiguousarray(np.concatenate([P, A]).T)
-    ET, gET = _edge_table(P, pair_terms)
-    vdef, edef = np.empty((2, m))  # deficit per anchor
-    step = max(1, _BLOCK_ELEMS // n)
-    for a0 in range(0, m, step):
-        a1 = min(a0 + step, m)
-        g, sf, _ = _pair_terms(PT, ET, gET, pair_terms, n + a0, n + a1, 0, n,
-                               reverse=False)
-        vdef[a0:a1] = (np.maximum.accumulate(g, axis=1)[:, :-1] - g[:, 1:]).max(axis=1)
-        edef[a0:a1] = -sf[:, :-1].min(axis=1)  # no edge starts at the last point
-    lines = np.concatenate([vdef, edef])
+    tables = _tables(P, pair_terms, A)
+    H = np.arange(n)[None, :]
+    vdef, edef = lines = np.empty((2, m))  # deficit per anchor
+    for rows in _chunks(np.arange(m), n):
+        g, sf, _ = _terms_at(*tables, pair_terms, n + rows[:, None], H, reverse=False)
+        vdef[rows] = (np.maximum.accumulate(g, axis=1)[:, :-1] - g[:, 1:]).max(axis=1)
+        edef[rows] = -sf[:, :-1].min(axis=1)  # no edge starts at the last point
 
     def line(kind, r):
-        g, s, _ = _pair_terms(PT, ET, gET, pair_terms, n + r, n + r + 1, 0, n,
-                              reverse=False)
+        g, s, _ = _terms_at(*tables, pair_terms, np.array([[n + r]]), H, reverse=False)
         return 0, g[0], s[0]
 
     wits = [Witness((c, c, d, d), dfc, anchor=r)
-            for _, r, c, d, dfc in _witnesses(lines, tol, m, line)]
+            for _, r, c, d, dfc in _witnesses(lines.ravel(), tol, m, line)]
     best = max(0.0, float(lines.max()))
     mode = "exact_polygonal" if disk.is_polygonal else "tolerance"
     return ChordReport(holds=best <= tol, max_deficit=best, witnesses=wits,

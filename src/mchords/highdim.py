@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvekit import ChordReport, Witness, _checked_tol, _run_two_sided
+from .curvekit import (ChordReport, Witness, _check_extent, _checked_tol,
+                       _run_two_sided)
 from .normplane import _as_count
 
 
@@ -28,7 +29,8 @@ class PolylineD:
             raise ValueError("PolylineD: non-finite coordinates")
         if len(P) > 1:
             scale = max(1.0, float(np.abs(P).max()))
-            steps = np.abs(P[1:] - P[:-1]).max(axis=1)
+            with np.errstate(over="ignore"):  # an infinite step does not coincide
+                steps = np.abs(P[1:] - P[:-1]).max(axis=1)
             if steps.min() <= 1e-12 * scale:
                 k = int(np.argmin(steps))
                 raise ValueError("PolylineD: points %d and %d coincide" % (k, k + 1))
@@ -101,6 +103,8 @@ def check_increasing_chords_dd(curve: PolylineD, samples_per_edge: int = 8,
     tol = _checked_tol(tol)
     P = curve.points
     n, dim = P.shape
+    # _cheb_pair_terms multiplies a difference by signs only: reach 1
+    _check_extent("check_increasing_chords_dd", P, 1.0)
     f = (np.arange(spe, dtype=float) + 1.0) / (spe + 1)
     E = P[1:] - P[:-1]
     inner = P[:-1, None, :] + f[None, :, None] * E[:, None, :]

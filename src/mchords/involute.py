@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GeometryError
 from .normplane import (ConvexBody, UnitDisk, gauge, gauge_many, unit_vectors,
                         locate_on_boundary, _as_count, _on_vertex_ray, _shift,
-                        _wedge_of, TWO_PI)
+                        TWO_PI)
 from .curvekit import Polyline
 
 _MAX_EVENTS = 1 << 20  # ladder and norm events of one build_involute call
@@ -261,7 +261,7 @@ def involute_support_direction(curve: InvoluteCurve, theta: float) -> InvoluteSu
     point = curve.point_at(theta)
     Vd = norm.vertices
     md = len(Vd)
-    j = int(_wedge_of(norm, np.array([x]), np.array([y]))[0])
+    j = int(norm._T.cone(np.array([x]), np.array([y]))[0])
     if norm.is_polygonal:
         for cand in (j, (j + 1) % md):
             if _on_vertex_ray(Vd, cand, x, y):

@@ -483,12 +483,6 @@ def _wrapped_angle(a0, x: np.ndarray, y: np.ndarray):
     return r
 
 
-def _wedge_of(disk: UnitDisk, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cone j of each direction (x, y) in the disk, _Stack.cone of its
-    stack: x and y are component arrays of one shape."""
-    return disk._T.cone(x, y)
-
-
 def gauge(disk: UnitDisk, v) -> float:
     """Norm of v in the plane whose unit disk is `disk`."""
     return float(gauge_many(disk, as_vec(v)[None, :])[0])
@@ -519,7 +513,7 @@ def _gauge_slopes(disk: UnitDisk) -> "_Slopes":
     disk's first call and kept on its stack, so later calls cost nothing
     to set up.
 
-    The cone j of w is _wedge_of's, found without its searchsorted.  The
+    The cone j of w is _Stack.cone's, found without its searchsorted.  The
     angles [a0, a0 + 2 pi] are cut into K buckets, K the power of two at
     or above 2m, and r falls in bucket f(r) = int((r - a0) K / 2 pi).  f
     is monotone and the vertex angles go through the same f, so every
@@ -552,7 +546,7 @@ class _Slopes:
     """_gauge_slopes' callback on the stack T of one disk."""
 
     __slots__ = ("V", "a0", "scale", "lut", "steps", "ang", "ang_next",
-                 "ex", "ey", "ec", "gx", "gy")
+                 "ex", "ey", "ec", "gx", "gy", "reach")
 
     def __init__(self, T: _Stack):
         ang = T.ang
@@ -563,6 +557,8 @@ class _Slopes:
         self.ex, self.ey = np.ascontiguousarray(T.E.T)
         self.gx, self.gy = np.ascontiguousarray(T.grad.T)
         self.ec = T.c
+        # the largest factor a call multiplies w by: |V_j|, |E_j| or |a_j|
+        self.reach = float(max(np.hypot(*X.T).max() for X in (T.V, T.E, T.grad)))
         K = 1 << (2 * m - 1).bit_length()
         self.scale = K / TWO_PI
         # count[b] vertices in bucket b; bucket K holds only r = a0 + 2 pi

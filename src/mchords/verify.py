@@ -20,8 +20,7 @@ from .highdim import (check_increasing_chords_dd, chebyshev_arclength,
 from .involute import build_involute
 from .normplane import (ConvexBody, UnitDisk, boundary_arclength, gauge,
                         gauge_many, is_birkhoff_orthogonal, support,
-                        unit_vector, unit_vectors, DEFAULT_RESOLUTION,
-                        _wedge_of)
+                        unit_vector, unit_vectors, DEFAULT_RESOLUTION)
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
 
@@ -184,7 +183,7 @@ def _check_birkhoff(disks, rng):
             if j is not None and math.hypot(*(V[j] - x)) <= 1e-9:
                 e = V[(j + 1) % m] - V[j]
             else:
-                jj = int(_wedge_of(disk, *x[:, None])[0])
+                jj = int(disk._T.cone(*x[:, None])[0])
                 e = V[(jj + 1) % m] - V[jj]
             if not is_birkhoff_orthogonal(disk, x, e, tol=1e-7):
                 return False, "%s: radial not orthogonal to boundary edge" % name

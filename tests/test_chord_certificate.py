@@ -14,7 +14,9 @@ checker runs it and once with the certificate forced on (no share
 limit), so that short and failing curves go through it too; curves of
 up to 400 points also run forced on smaller blocks.  A work-count guard
 keeps the certificate's exact pairs on the extremal l6 chain below a
-quarter of all pairs.
+quarter of all pairs, and that chain scaled past 1.3e154, where the
+certificate's box products would overflow, gets the plain kernel's
+report.
 """
 
 import math
@@ -145,8 +147,8 @@ def lines_and_reports(monkeypatch, disk, P, settings):
         plain = curvekit._run_two_sided(P, terms, tol)
         for key, value in settings.items():
             m.setattr(curvekit, key, value)
-        run = curvekit._run_two_sided
-        m.setattr(curvekit, "_run_two_sided", lambda *a: seen.append(None) or run(*a))
+        scan = curvekit._plain_scan
+        m.setattr(curvekit, "_plain_scan", lambda *a: seen.append(None) or scan(*a))
         deficit, wits, _ = curvekit._run_certified(P, terms, tol)
     return seen[0], plain, seen[1], (deficit, wits)
 
@@ -195,9 +197,24 @@ def test_work_count_on_the_l6_chain(monkeypatch):
     assert 0 < pairs < 0.25 * n * (n - 1) / 2
     # and the checker takes that path, without the plain kernel
     with monkeypatch.context() as m:
-        m.setattr(curvekit, "_run_two_sided", None)
+        m.setattr(curvekit, "_plain_scan", None)
         assert curvekit.check_increasing_chords(disk, curvekit.Polyline(P)).holds
     # a curve the certificate cannot help counts every pair
     walk = np.cumsum(np.random.default_rng(1).normal(size=(200, 2)), axis=0)
     *_, pairs = curvekit._run_certified(walk, _gauge_slopes(disk), 1e-6)
     assert pairs >= 200 * 199 // 2
+
+
+def test_a_chain_too_wide_for_the_boxes_takes_the_plain_scan():
+    # the l6 chain scaled past 1.3e154, where the certificate's box
+    # products (cx * ys) overflow: the checker gives the plain kernel's
+    # report, holding, and refused with the middle point pushed back
+    disk = UnitDisk.lp(6.0, 4096)
+    terms = _gauge_slopes(disk)
+    P = chain(disk, 0.75)
+    for s in (1e155, 1e160, 2.0 ** 520):
+        for Q, holds in ((P, True), (pushed_back(P, len(P) // 2, -0.5), False)):
+            rep = curvekit.check_increasing_chords(disk, curvekit.Polyline(Q * s), tol=s * 1e-6)
+            assert rep.holds == holds
+            plain = curvekit._run_two_sided(Q * s, terms, s * 1e-6)
+            assert (rep.max_deficit, rep.witnesses) == plain

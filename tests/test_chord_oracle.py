@@ -32,8 +32,8 @@ from mchords import (Polyline, UnitDisk, check_increasing_chords,
                      reuleaux, reuleaux_two_sides, unit_vector)
 from mchords.chordbound import _lm_at, _min_lm_many
 from mchords.highdim import PolylineD, check_increasing_chords_dd, hypercube_curve
-from mchords.normplane import (_cross, _gauge_slopes, _wedge_of,
-                               _wrapped_angle, gauge_many)
+from mchords.normplane import (_cross, _gauge_slopes, _wrapped_angle,
+                               gauge_many)
 from mchords.verify import (convex_hull, near_segment_curve,
                             random_polygon_disk, random_smooth_disk)
 
@@ -334,15 +334,15 @@ def test_cone_lookup_and_ray_test_match_reference():
             np.testing.assert_allclose(g[0, rows], exact, rtol=1e-15, atol=0.0)
         np.testing.assert_array_equal(sf[0], s_ref)
         np.testing.assert_array_equal(sr[0], s_ref)
-        np.testing.assert_array_equal(_wedge_of(disk, *W.T), j_ref)
+        np.testing.assert_array_equal(disk._T.cone(*W.T), j_ref)
         # with the zero vector and the vertices themselves (the first at
         # angle a0 exactly), the kernel's gauge is gauge_many's and its
-        # cone _wedge_of's
+        # cone _Stack.cone's
         W = np.concatenate([W, [(0.0, 0.0)], V])
         g = terms(W.T, None, None)[0]
         np.testing.assert_array_equal(g, gauge_many(disk, W))
         np.testing.assert_array_equal(terms.cone(_wrapped_angle(a0, *W.T)),
-                                      _wedge_of(disk, *W.T))
+                                      disk._T.cone(*W.T))
     # the fullest buckets of the thin gons: 6, 10 and 11 bisection steps
     assert fullest[-3:] == [50, 940, 1024]
 

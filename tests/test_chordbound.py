@@ -14,7 +14,7 @@ from mchords.chordbound import (_SCAN, Hexagon, _arc, _corners,
 from mchords.curvekit import Polyline, arclength, check_increasing_chords
 from mchords.errors import GeometryError
 from mchords.involute import ConvexBody
-from mchords.normplane import _Stack, _wedge_of, gauge_many, unit_vectors
+from mchords.normplane import _Stack, gauge_many, unit_vectors
 from mchords.verify import (convex_hull, random_disk, random_polygon_disk,
                             random_smooth_disk)
 
@@ -200,7 +200,7 @@ def test_corner_distance_grows_towards_antipode():
         V = disk.vertices
         n = len(V)
         q = _boundary_rows(disk, rng, 64)
-        j = _wedge_of(disk, *q.T)
+        j = disk._T.cone(*q.T)
         P = V[(j[:, None] + 1 + np.arange(n // 2)) % n]
         for c in (1.0, *rng.uniform(0.0, 2.0, 3)):
             G = gauge_many(disk, P - c * q[:, None, :])

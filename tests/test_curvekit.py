@@ -4,11 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+import mchords.curvekit as curvekit
 from mchords import (GeometryError, Polyline, UnitDisk, UnsupportedDiskError,
                      arclength, bisector_sample, check_increasing_chords,
                      check_increasing_wrt_set, convexify, gauge, gauge_many,
                      is_x_monotone, unit_vector)
 from mchords.highdim import check_increasing_chords_dd, hypercube_curve
+from mchords.involute import ConvexBody, build_involute
 from mchords.verify import (builtin_disks, near_segment_curve, random_smooth_disk,
                             random_xmonotone)
 
@@ -114,6 +116,60 @@ def test_checkers_refuse_non_finite_and_negative_inputs():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="anchor row 1"):
             check_increasing_wrt_set(e, seg, [(0.0, 0.0), (bad, 0.0)])
+
+def test_a_curve_too_wide_for_its_gauges_is_refused():
+    # on the square |E| |w| overflows at 8e307 times this backtracking
+    # curve; it is refused before any gauge, so no overflow warning
+    C = np.array([(0.0, 0.0), (1.0, 0.0), (0.6, 0.3), (2.0, 0.3)])
+    sq = UnitDisk.square()
+    with pytest.raises(GeometryError, match="the points span"):
+        check_increasing_chords(sq, Polyline(8e307 * C))
+    # at 2e307 the report is kept: refused, the first witness carries the deficit
+    rep = check_increasing_chords(sq, Polyline(2e307 * C))
+    assert not rep.holds and rep.max_deficit == rep.witnesses[0].deficit == 2.8e307
+
+
+def test_an_anchor_too_far_for_its_gauges_is_refused():
+    sq = UnitDisk.square()
+    seg = Polyline([(0.0, 0.0), (1.0, 0.0)])
+    with pytest.raises(GeometryError, match="the points span 1e\\+308"):
+        check_increasing_wrt_set(sq, seg, [(1e308, 0.0)])
+    rep = check_increasing_wrt_set(sq, seg, [(1e307, 0.0)])
+    assert not rep.holds and rep.max_deficit == rep.witnesses[0].deficit == 1.0
+
+
+def anchored_cases():
+    """(disk, points, anchors, tol) of anchored checks that hold and that
+    are refused, with about 20 anchors."""
+    rng = np.random.default_rng(2701)
+    lp3 = UnitDisk.lp(3.0, 4096)
+    walk = np.cumsum(np.stack([rng.uniform(0.5, 1.0, 80), rng.normal(0.0, 0.3, 80)],
+                              axis=1), axis=0)
+    behind = np.array([-60.0, 0.0]) + rng.normal(0.0, 5.0, (20, 2))
+    around = rng.normal(0.0, 30.0, (20, 2)) + walk.mean(axis=0)
+    eu = UnitDisk.euclidean(8192)
+    base = ConvexBody.from_disk(eu)
+    window = build_involute(eu, base, (0.0, -1.0), 0.0, math.pi, 300).points.points
+    on_base = base.vertices[::410]
+    return [(lp3, walk, behind, None), (lp3, walk, around, None),
+            (eu, window, on_base, 3e-4), (eu, window, on_base, None)]
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3, 7])
+def test_anchored_reports_do_not_depend_on_the_chunk_size(monkeypatch, per_chunk):
+    # _BLOCK_ELEMS = k n puts k anchors in each chunk of the anchored loop
+    # of an n-point curve; by default all of them share one chunk
+    held = 0
+    for disk, P, A, tol in anchored_cases():
+        assert 18 <= len(A) <= 22
+        want = check_increasing_wrt_set(disk, Polyline(P), A, tol).to_dict()
+        with monkeypatch.context() as m:
+            m.setattr(curvekit, "_BLOCK_ELEMS", per_chunk * len(P))
+            assert check_increasing_wrt_set(disk, Polyline(P), A, tol).to_dict() == want
+        held += want["holds"]
+        assert want["holds"] or len({w["anchor"] for w in want["witnesses"]}) > per_chunk
+    assert held == 2
+
 
 def test_check_reuleaux_two_sides():
     # chord sampling dips inside the body by ~step^2/8 between samples, so

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mchords.errors import GeometryError
 from mchords.highdim import (PolylineD, check_increasing_chords_dd,
                              chebyshev_arclength, hypercube_curve)
 
@@ -123,3 +124,12 @@ def test_bridge_monotonicity():
         dB = np.abs(Z[:, None, :] - V[None, h:, :]).max(axis=2)
         assert np.all(np.diff(dA, axis=0) >= -1e-12)
         assert np.all(np.diff(dB, axis=0) <= 1e-12)
+
+
+def test_a_curve_whose_differences_overflow_is_refused():
+    # 1e308 - (-1e308) overflows: refused before the augmented points are
+    # built, so no overflow warning and no infinite deficit
+    with pytest.raises(GeometryError, match="the points span inf"):
+        check_increasing_chords_dd(PolylineD([[0.0], [1e308], [-1e308]]), 2, 1e-9)
+    rep = check_increasing_chords_dd(PolylineD([[0.0], [1e307], [-1e307]]), 2, 1e-9)
+    assert not rep.holds and rep.max_deficit == rep.witnesses[0].deficit

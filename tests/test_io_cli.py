@@ -364,6 +364,21 @@ def test_non_finite_and_negative_inputs_exit_2(tmp_path, capsys):
     assert "anchor row 1" in capsys.readouterr().err
 
 
+def test_huge_coordinates_exit_2_without_warnings(tmp_path, capsys):
+    # gauges of points this far apart would overflow: refused before any
+    C = np.array([[0, 0], [1, 0], [0.6, 0.3], [2, 0.3]])
+    curve = write_curve(tmp_path / "c.csv", 8e307 * C)
+    seg = write_curve(tmp_path / "s.csv", [[0, 0], [1, 0]])
+    far = write_curve(tmp_path / "a.csv", [[1e308, 0]])
+    for argv in (["check", "--disk", "builtin:square", "--curve", curve],
+                 ["check-wrt", "--disk", "builtin:square", "--curve", seg, "--anchors", far]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2, argv
+        out = capsys.readouterr()
+        assert out.out == "" and "the points span" in out.err, argv
+
+
 def test_non_finite_directions_exit_2_without_warnings(capsys):
     for argv in (["hexagon", "--disk", "builtin:square", "--dir=inf"],
                  ["reuleaux", "--disk", "builtin:square", "--dir=nan"]):
