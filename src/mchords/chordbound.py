@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GeometryError
 from .normplane import (ConvexBody, UnitDisk, as_vec, gauge, gauge_many,
                         unit_vectors, locate_on_boundary, _as_count, _cross,
-                        _gauge_slopes, _shift, _Stack, _vertices_of)
+                        _gauge_slopes, _negligible, _shift, _Stack, _vertices_of)
 
 
 @dataclass(frozen=True)
@@ -207,14 +207,14 @@ def _cut(prev, d, den, num):
 
 def _arc(disk: UnitDisk, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The CCW boundary arc of M from a to b (both on it, b less than a
-    full turn on): a, the vertices in between, b.  Vertices closer than
-    1e-12 * scale to a neighbour are dropped, so a and b stay exact."""
+    full turn on): a, the vertices in between, b.  Vertices within the disk's
+    _negligible length of a neighbour are dropped, so a and b stay exact."""
     V = disk.vertices
     n = len(V)
     ja, jb = disk._T.cone(*np.array([a, b]).T)
     P = np.concatenate([a[None, :], V[(ja + 1 + np.arange((jb - ja) % n)) % n],
                         b[None, :]])
-    far = np.hypot(*np.diff(P, axis=0).T) > 1e-12 * max(1.0, float(np.abs(V).max()))
+    far = np.hypot(*np.diff(P, axis=0).T) > disk._T.tiny[0]
     keep = np.ones(len(P), dtype=bool)
     keep[1:-1] = far[:-1] & far[1:]
     return P[keep]
@@ -378,10 +378,10 @@ def inscribed_hexagon(disk: UnitDisk, p) -> Hexagon:
     # into q in exact arithmetic, but rounding can put q inside a flat
     # stretch, so both sides are tested, on the edges q arrives and leaves
     # by (a vertex may fall in either wedge), by the one-sided slopes of
-    # the chord kernel.
+    # the chord kernel, each a gauge rate measured against its edge's gauge.
     V = disk.vertices
     n = len(V)
-    tiny = 1e-12 * max(1.0, float(np.abs(V).max()))
+    tiny = disk._T.tiny[0]
     j = int(disk._T.cone(*q[:, None])[0])
     if math.hypot(*(V[(j + 1) % n] - q)) <= tiny:
         j = (j + 1) % n
@@ -389,8 +389,8 @@ def inscribed_hexagon(disk: UnitDisk, p) -> Hexagon:
     e_in = disk._T.E[j - 1] if math.hypot(*(V[j] - q)) <= tiny else e_out
     _, s_out, s_back = _gauge_slopes(disk)((q - p)[:, None], e_out[:, None],
                                            -e_in[:, None])
-    unique = (s_out[0] > 1e-12 * max(1.0, math.hypot(*e_out))
-              and -s_back[0] > 1e-12 * max(1.0, math.hypot(*e_in)))
+    g_out, g_in = gauge_many(disk, np.array([e_out, e_in]))
+    unique = s_out[0] > 1e-12 * g_out and -s_back[0] > 1e-12 * g_in
     verts = np.array([p, q, q - p, -p, -q, p - q])
     g = gauge_many(disk, verts)
     if np.abs(g - 1.0).max() > 1e-8:
@@ -405,8 +405,7 @@ def _validate_hexagon(disk: UnitDisk, hexagon: Hexagon) -> np.ndarray:
         raise ValueError("hexagon must have exactly 6 vertices")
     v, w = verts[0], verts[1]
     pattern = np.array([v, w, w - v, -v, -w, v - w])
-    scale = max(1.0, float(np.abs(verts).max()))
-    if np.abs(verts - pattern).max() > 1e-8 * scale:
+    if np.abs(verts - pattern).max() > _negligible(verts, 1e-8):
         raise ValueError("hexagon is not affinely regular")
     if np.abs(gauge_many(disk, verts) - 1.0).max() > 1e-8:
         raise ValueError("hexagon vertices are not on the unit boundary")
@@ -430,7 +429,7 @@ def reuleaux(disk: UnitDisk, hexagon: Hexagon):
     body = ConvexBody(ring, exact_polygon=disk.is_polygonal)
     per = perimeter(disk, body)
     full = perimeter(disk, disk.vertices)
-    if abs(per - 0.5 * full) > 1e-6 * max(1.0, full):
+    if abs(per - 0.5 * full) > 1e-6 * full:  # norm lengths; full is 6 to 8 (Golab)
         raise GeometryError(
             "reuleaux: perimeter %.12g differs from half the disk "
             "perimeter %.12g" % (per, 0.5 * full))
@@ -456,7 +455,7 @@ def reuleaux_two_sides(body: ConvexBody, a, b) -> np.ndarray:
 
     ia, ta, sa = place(a)
     ib, tb, sb = place(b)
-    if math.hypot(*(sa - sb)) <= 1e-12 * max(1.0, float(np.abs(V).max())):
+    if math.hypot(*(sa - sb)) <= _negligible(V):
         raise GeometryError("reuleaux_two_sides: corners coincide")
     # CCW from b to a, reversed; all the way round when a is behind b on
     # one edge

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import GeometryError, UnsupportedDiskError
 from .normplane import (TWO_PI, UnitDisk, as_vec, gauge, gauge_many, _as_count,
-                        _gauge_slopes)
+                        _gauge_slopes, _negligible)
 
 _BLOCK_ELEMS = 1 << 16  # pairs per row block of the chord kernel, at most
 _BLOCK_ROWS = 32  # rows per block, at most: a block discards B^2 / 2 pairs h <= l
@@ -57,19 +57,18 @@ class Polyline:
 
     __slots__ = ("points",)
 
-    def __init__(self, points, *, _scale=None):
-        """Consecutive points at most 1e-12 _scale apart are refused as
-        coincident; _scale is max(1, largest coordinate) by default."""
+    def __init__(self, points, *, _tiny=None):
+        """Consecutive points at most _tiny apart are refused as coincident;
+        _tiny is the points' own _negligible length by default."""
         P = np.array(points, dtype=float)
         if P.ndim != 2 or P.shape[1] != 2 or len(P) < 1:
             raise ValueError("Polyline: need an (n, 2) array with n >= 1")
         if not np.all(np.isfinite(P)):
             raise ValueError("Polyline: non-finite coordinates")
-        scale = max(1.0, float(np.abs(P).max())) if _scale is None else _scale
         if len(P) > 1:
             with np.errstate(over="ignore"):  # an infinite step does not coincide
                 steps = np.hypot(*(P[1:] - P[:-1]).T)
-            if steps.min() <= 1e-12 * scale:
+            if steps.min() <= (_negligible(P) if _tiny is None else _tiny):
                 k = int(np.argmin(steps))
                 raise ValueError("Polyline: points %d and %d coincide" % (k, k + 1))
         P.flags.writeable = False
@@ -559,8 +558,7 @@ def bisector_sample(disk: UnitDisk, a, b, y_range, n: int) -> BisectorSample:
     a = as_vec(a)
     b = as_vec(b)
     u = b - a
-    if math.hypot(*u) <= 1e-12 * max(1.0, float(np.abs(a).max()),
-                                     float(np.abs(b).max())):
+    if math.hypot(*u) <= _negligible(np.array([a, b])):
         raise ValueError("bisector_sample: a and b coincide")
     n = _as_count(n, "bisector_sample: n")
     if n < 1:
@@ -636,8 +634,8 @@ def convexify(curve: Polyline) -> Polyline:
     The multiset of edge vectors is kept up to that merging, so the
     arclength in every norm is kept to rounding.  Already-sorted curves
     are returned as an identical copy.  The output's steps are measured
-    against the input's scale: the rearranged curve can reach larger
-    coordinates, and an edge the input's rule accepted stays accepted.
+    against the input's _negligible length: the rearranged curve can
+    reach larger coordinates, and an edge the input accepted stays so.
     """
     if not is_x_monotone(curve):
         raise GeometryError("convexify: curve must be strictly x-monotone")
@@ -655,5 +653,5 @@ def convexify(curve: Polyline) -> Polyline:
         a = np.arctan2(F[:, 1], F[:, 0])
         keep = np.concatenate([[True], a[:-1] > a[1:], [True]])
         if keep.all():
-            return Polyline(Q, _scale=max(1.0, float(np.abs(P).max())))
+            return Polyline(Q, _tiny=_negligible(P))
         Q = Q[keep]

@@ -9,15 +9,18 @@ property in the max norm.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .curvekit import (ChordReport, Witness, _check_extent, _checked_tol,
                        _run_two_sided)
-from .normplane import _as_count
+from .normplane import _as_count, _negligible
 
 
 class PolylineD:
-    """Open polyline in R^d; points is a read-only (n, dim) float array."""
+    """Open polyline in R^d; points is a read-only (n, dim) float array.
+    Consecutive points _negligible(points) apart in max norm coincide."""
 
     __slots__ = ("points", "dim")
 
@@ -28,10 +31,9 @@ class PolylineD:
         if not np.all(np.isfinite(P)):
             raise ValueError("PolylineD: non-finite coordinates")
         if len(P) > 1:
-            scale = max(1.0, float(np.abs(P).max()))
             with np.errstate(over="ignore"):  # an infinite step does not coincide
                 steps = np.abs(P[1:] - P[:-1]).max(axis=1)
-            if steps.min() <= 1e-12 * scale:
+            if steps.min() <= _negligible(P):
                 k = int(np.argmin(steps))
                 raise ValueError("PolylineD: points %d and %d coincide" % (k, k + 1))
         P.flags.writeable = False
@@ -72,14 +74,15 @@ def chebyshev_arclength(curve: PolylineD) -> float:
     return float(np.abs(curve.edges()).max(axis=1).sum())
 
 
-def _cheb_pair_terms(W: np.ndarray, Ef, Er):
+def _cheb_pair_terms(W: np.ndarray, Ef, Er, tiny: float):
     """pair_terms of the max norm for (dim, ...) difference vectors W: the
     gauge, and the right derivatives along Ef and Er, each the largest
     signed rate among the active coordinates (the cone of W is its set of
-    active coordinates with their signs)."""
+    coordinates within tiny, the curve's _negligible length, of its
+    largest, with their signs)."""
     A = np.abs(W)
     m = A.max(axis=0)
-    active = A >= m - 1e-12 * np.maximum(m, 1.0)
+    active = A >= m - tiny
     S = np.sign(W)
     return (m,) + tuple(None if E is None else
                         np.where(active, S * E, -np.inf).max(axis=0)
@@ -111,7 +114,7 @@ def check_increasing_chords_dd(curve: PolylineD, samples_per_edge: int = 8,
     aug = np.concatenate([
         np.concatenate([P[:-1, None, :], inner], axis=1).reshape(-1, dim),
         P[-1:]], axis=0)
-    deficit, wits = _run_two_sided(aug, _cheb_pair_terms, tol)
+    deficit, wits = _run_two_sided(aug, partial(_cheb_pair_terms, tiny=_negligible(aug)), tol)
     scale = 1.0 / (spe + 1)
     wits = [Witness(tuple(x * scale for x in w.quad), w.deficit, w.anchor)
             for w in wits]

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import GeometryError
 from .normplane import (ConvexBody, UnitDisk, gauge, gauge_many, unit_vectors,
-                        locate_on_boundary, _as_count, _on_vertex_ray, _shift,
-                        TWO_PI)
+                        locate_on_boundary, _as_count, _negligible, _on_vertex_ray,
+                        _shift, TWO_PI)
 from .curvekit import Polyline
 
 _MAX_EVENTS = 1 << 20  # ladder and norm events of one build_involute call
@@ -94,7 +94,7 @@ def _unroll(norm, A, D, P, alpha):
 def _snap_to_boundary(base: ConvexBody, p):
     W = base.vertices
     i, t, snapped = locate_on_boundary(W, p, "build_involute: anchor")
-    tol = 1e-9 * max(base.diameter, 1.0)
+    tol = _negligible(W, 1e-9)
     m = len(W)
     nxt = (i + 1) % m
     if np.hypot(*(snapped - W[i])) <= tol:
@@ -204,8 +204,8 @@ def build_involute(norm: UnitDisk, base: ConvexBody, p, theta_min: float,
     pts = _unroll(norm, A, D, P, thetas + rot)
 
     # tangency-independence at events: evaluating from either end vertex of
-    # the event edge must agree
-    scale = max(1.0, base.diameter, float(np.abs(D).max()))
+    # the event edge must agree, to a negligible length of the base and curve
+    drawn = np.concatenate([W, pts])
     inside = (A > lo_a - 1e-9) & (A < hi_a + 1e-9)
     j = np.nonzero(inside)[0]
     j = j[j >= 1]
@@ -214,14 +214,14 @@ def build_involute(norm: UnitDisk, base: ConvexBody, p, theta_min: float,
         left = P[j - 1] - D[j - 1, None] * Ue
         right = P[j] - D[j, None] * Ue
         dev = float(np.abs(left - right).max())
-        if dev > 1e-9 * scale:
+        if dev > _negligible(drawn, 1e-9):
             raise GeometryError("build_involute: tangency independence "
                                 "violated at an event (deviation %.3g)" % dev)
 
     # drop stationary repeats (vertex anchors hold the curve at p on the
     # clockwise side of theta = 0)
     keep = np.concatenate([[True],
-                           np.hypot(*(pts[1:] - pts[:-1]).T) > 1e-12 * scale])
+                           np.hypot(*(pts[1:] - pts[:-1]).T) > _negligible(drawn)])
     pts = pts[keep]
     thetas = thetas[keep]
     if len(pts) < 2:

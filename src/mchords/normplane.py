@@ -63,12 +63,13 @@ def _next(R: np.ndarray) -> np.ndarray:
     return np.concatenate((R[:, 1:], R[:, :1]), axis=1)
 
 
-def _validate_symmetric_polygon(V: np.ndarray, what: str) -> None:
+def _validate_symmetric_polygon(V: np.ndarray, what: str) -> np.ndarray:
     """Reject vertex lists that do not bound an origin-symmetric convex disk
     with the origin strictly inside.  V is a stack (B, n, 2) of rings, one
     disk the stack of one.  The rules run in order over the whole stack,
     and the first ring to break a rule raises; its diagnostics name its
-    offending vertex, as they would for that ring alone."""
+    offending vertex, as they would for that ring alone.  Returns each
+    ring's _negligible length."""
     if V.ndim != 3 or V.shape[2] != 2:
         raise InvalidDiskError("%s: vertices must form an (n, 2) array" % what)
     n = V.shape[1]
@@ -88,7 +89,8 @@ def _validate_symmetric_polygon(V: np.ndarray, what: str) -> None:
     # origin symmetry: antipodal vertex must sit half a cycle away
     h = n // 2
     dev = np.abs(V[:, h:] + V[:, :h])  # rows i and i + h pair both ways
-    fail = dev.max(axis=(1, 2)) > 1e-12 * np.maximum(scale, 1.0)
+    tiny = _negligible(V)
+    fail = dev.max(axis=(1, 2)) > tiny
     if fail.any():
         b = int(fail.argmax())
         bad = int(dev[b].max(axis=1).argmax())
@@ -121,6 +123,7 @@ def _validate_symmetric_polygon(V: np.ndarray, what: str) -> None:
         bad = int(c[b].argmax())
         raise InvalidDiskError(
             "%s: origin is not strictly interior (edge starting at vertex %d)" % (what, bad))
+    return tiny
 
 
 class _Stack:
@@ -129,8 +132,9 @@ class _Stack:
     j (vertex j to j + 1), c = cross(edge j, vertex j) < 0 and the gauge's
     gradient on cone j of disk b.  _Stack(R) validates the rings R (B, n,
     2) by _validate_symmetric_polygon, naming them `what`, and rolls each
-    so that its least polar angle comes first.  A UnitDisk keeps the
-    stack of its one ring as disk._T.
+    so that its least polar angle comes first; tiny[b] is disk b's
+    _negligible length.  A UnitDisk keeps the stack of its one ring as
+    disk._T.
 
     A query of m rows gives m / B consecutive rows to each disk, in order,
     and names each row's disk by base = b * n (rows(m)); base broadcasts
@@ -143,12 +147,12 @@ class _Stack:
     P (..., 2), linear on each cone.
     """
 
-    __slots__ = ("B", "n", "bases", "V", "ang", "E", "c", "grad", "keys",
+    __slots__ = ("B", "n", "bases", "V", "ang", "E", "c", "grad", "keys", "tiny",
                  "_arcs", "_slopes")
 
     def __init__(self, R, what: str = "polygon"):
         R = np.asarray(R, dtype=float)
-        _validate_symmetric_polygon(R, what)
+        self.tiny = _validate_symmetric_polygon(R, what)
         self.B, self.n = B, n = R.shape[:2]
         self.bases = np.arange(0, B * n, n)
         ang = np.arctan2(R[..., 1], R[..., 0])
@@ -293,19 +297,19 @@ class UnitDisk:
         if np.max(np.abs((a[h:] - a[:h]) - math.pi)) > 1e-9:
             bad = int(np.argmax(np.abs((a[h:] - a[:h]) - math.pi)))
             raise InvalidDiskError("radial: sample %d has no partner at angle + pi" % bad)
-        if np.max(np.abs(r[h:] - r[:h])) > 1e-12 * max(1.0, float(r.max())):
+        P = r[:, None] * np.stack([np.cos(a), np.sin(a)], axis=1)
+        if np.max(np.abs(r[h:] - r[:h])) > _negligible(P):
             bad = int(np.argmax(np.abs(r[h:] - r[:h])))
-            raise InvalidDiskError(
-                "radial: radii at angle %d and its antipode differ beyond 1e-12" % bad)
-        half = r[:h, None] * np.stack([np.cos(a[:h]), np.sin(a[:h])], axis=1)
-        return cls._mirrored(half, "radial")
+            raise InvalidDiskError("radial: radii at angle %d and its antipode differ "
+                                   "beyond a negligible length" % bad)
+        return cls._mirrored(P[:h], "radial")
 
     @classmethod
     def from_boundary_samples(cls, points) -> "UnitDisk":
         """Symmetric disk through the given boundary points (sampled-smooth).
 
         Points are sorted by polar angle; the set must be symmetric under
-        negation within 1e-9 of its scale, and is snapped exactly symmetric.
+        negation to _negligible(P, 1e-9), and is snapped exactly symmetric.
         Strict convexity is decided as for radial (_mirrored).
         """
         P = np.asarray(points, dtype=float)
@@ -321,7 +325,7 @@ class UnitDisk:
         if n % 2 != 0:
             raise InvalidDiskError("boundary samples: even count required for symmetry")
         h = n // 2
-        if np.max(np.abs(P[h:] + P[:h])) > 1e-9 * max(1.0, float(np.abs(P).max())):
+        if np.max(np.abs(P[h:] + P[:h])) > _negligible(P, 1e-9):
             raise InvalidDiskError("boundary samples: point set is not origin-symmetric")
         return cls._mirrored(P[:h], "radial")
 
@@ -404,10 +408,16 @@ def _half_circle(n: int, what: str) -> np.ndarray:
     return np.stack([np.cos(th), np.sin(th)], axis=1)
 
 
-def _extent(V: np.ndarray) -> float:
-    """The larger side of the bounding box of the points V: a size that
-    does not move with the points."""
-    return float(np.ptp(V, axis=0).max())
+def _negligible(P: np.ndarray, c: float = 1e-12):
+    """The one scale rule: a length is negligible against the points P
+    (..., m, d) it belongs to when it is at most c times their extent (the
+    larger side of their bounding box; c hi - c lo stays finite) or 1e-15
+    times their largest coordinate, the float resolution far from the
+    origin.  No absolute floor: 2^k P gets 2^k times P's threshold."""
+    Q = np.ascontiguousarray(P.swapaxes(-1, -2))  # (..., d, m): fast to reduce
+    hi, lo = Q.max(axis=-1), Q.min(axis=-1)
+    return np.maximum((c * hi - c * lo).max(axis=-1),
+                      1e-15 * np.maximum(hi, -lo).max(axis=-1))
 
 
 class ConvexBody:
@@ -415,9 +425,9 @@ class ConvexBody:
 
     exact_polygon distinguishes a true polygon from a dense sampling of a
     smooth body; several operations branch on it (event handling, vertex
-    snapping rules).  The turn and area tests scale with the body's
-    extent, so a body validates wherever it sits; the repeated-point test
-    is one of float resolution and scales with the coordinates.
+    snapping rules).  Consecutive points a negligible length apart
+    (_negligible) are refused as repeated; the turn and area tests scale
+    with the body's extent squared, so a body validates wherever it sits.
     """
 
     __slots__ = ("vertices", "exact_polygon")
@@ -428,11 +438,10 @@ class ConvexBody:
             raise ValueError("ConvexBody: need an (n, 2) array with n >= 3")
         if not np.all(np.isfinite(P)):
             raise ValueError("ConvexBody: non-finite coordinates")
-        scale = max(1.0, float(np.abs(P).max()))
         E = _shift(P) - P
-        if np.hypot(E[:, 0], E[:, 1]).min() <= 1e-12 * scale:
+        if np.hypot(E[:, 0], E[:, 1]).min() <= _negligible(P):
             raise ValueError("ConvexBody: repeated consecutive boundary points")
-        ext2 = _extent(P) ** 2
+        ext2 = float(_negligible(P, 1.0)) ** 2  # at c = 1 the rule is the extent
         turn = _cross(E, _shift(E))
         if turn.min() < -1e-9 * ext2:
             bad = int(np.argmin(turn))
@@ -448,12 +457,6 @@ class ConvexBody:
     @classmethod
     def from_disk(cls, disk: UnitDisk) -> "ConvexBody":
         return cls(disk.vertices, exact_polygon=disk.is_polygonal)
-
-    @property
-    def diameter(self) -> float:
-        V = self.vertices
-        c = V.mean(axis=0)
-        return 2.0 * float(np.hypot(V[:, 0] - c[0], V[:, 1] - c[1]).max())
 
     def __repr__(self):
         return "ConvexBody(n=%d, exact_polygon=%s)" % (len(self.vertices),
@@ -700,10 +703,8 @@ def locate_on_boundary(vertices: np.ndarray, x,
     """Closest boundary point of a closed CCW polygon to x, as (edge
     index, parameter in [0, 1], snapped point).
 
-    x must be on the boundary: at a distance above 1e-9 * max(1, extent)
-    it raises GeometryError naming `what`.  Far from the origin the
-    distance is good only to a few units of the coordinates' last place,
-    so it is also allowed 1e-15 times their magnitude.
+    x must be on the boundary: at a distance above _negligible(vertices,
+    1e-9) it raises GeometryError naming `what`.
     """
     x = as_vec(x)
     A = vertices
@@ -716,7 +717,7 @@ def locate_on_boundary(vertices: np.ndarray, x,
     d2 = np.einsum("ij,ij->i", proj - x[None, :], proj - x[None, :])
     i = int(np.argmin(d2))
     dist = math.sqrt(float(d2[i]))
-    if dist > max(1e-9 * max(1.0, _extent(A)), 1e-15 * float(np.abs(A).max())):
+    if dist > _negligible(A, 1e-9):
         raise GeometryError("%s (%.17g, %.17g) is not on the boundary "
                             "(distance %.3g)" % (what, x[0], x[1], dist))
     return i, float(t[i]), proj[i]
@@ -739,6 +740,6 @@ def boundary_arclength(disk: UnitDisk, body, p, q) -> float:
     sp = pos(p)
     sq = pos(q)
     d = sq - sp
-    if abs(d) < 1e-12 * max(perim, 1.0):
+    if abs(d) < 1e-12 * perim:  # a length in the norm, against the same norm's perimeter
         return 0.0
     return float(d % perim)

@@ -73,9 +73,7 @@ def random_polygon_disk(rng, m: int | None = None) -> UnitDisk:
 def random_smooth_disk(rng, n: int = 512) -> UnitDisk:
     """Random rounded disk: a polygon P blended with a ball along common
     outward normals, (1 - lam) P + lam B.  Not strictly convex: each edge
-    of P stays, scaled by 1 - lam, as one long flat edge of the n-gon,
-    which the sampled strictness test does not see, so is_strictly_convex
-    reads True."""
+    of P stays, scaled by 1 - lam, as one long flat edge of the n-gon."""
     P = random_polygon_disk(rng)
     lam = float(rng.uniform(0.25, 0.6))
     nh = n // 2
@@ -83,7 +81,7 @@ def random_smooth_disk(rng, n: int = 512) -> UnitDisk:
     normals = np.stack([np.cos(th), np.sin(th)], axis=1)
     a = P.vertices[np.argmax(normals @ P.vertices.T, axis=1)]
     half = (1.0 - lam) * a + lam * normals
-    return UnitDisk.from_boundary_samples(np.concatenate([half, -half]))
+    return UnitDisk._mirrored(half, "radial", False)
 
 
 def random_disk(rng) -> UnitDisk:

@@ -11,8 +11,8 @@ from mchords import (GeometryError, Polyline, UnitDisk, UnsupportedDiskError,
                      is_x_monotone, unit_vector)
 from mchords.highdim import check_increasing_chords_dd, hypercube_curve
 from mchords.involute import ConvexBody, build_involute
-from mchords.verify import (builtin_disks, near_segment_curve, random_smooth_disk,
-                            random_xmonotone)
+from mchords.verify import (builtin_disks, near_segment_curve, random_polygon_disk,
+                            random_smooth_disk, random_xmonotone)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -324,12 +324,21 @@ def _bisector_line_by_line(disk, a, b, y_range, n):
     return pts
 
 
+def _random_strict_disk(rng, n):
+    # a random linear image of an lp circle, 1.5 <= p <= 4: strictly convex
+    # and no builtin (random_smooth_disk has flat sides)
+    A = rng.normal(size=(2, 2))
+    disk = UnitDisk.from_boundary_samples(UnitDisk.lp(rng.uniform(1.5, 4.0), n).vertices @ A.T)
+    assert disk.is_strictly_convex
+    return disk
+
+
 def test_bisector_matches_line_by_line_reference():
     # all lines bisect in lockstep with the same arithmetic per line, so
     # the points are bit-identical to the scalar reference
     rng = np.random.default_rng(59)
     disks = [UnitDisk.lp(3.3, 1024), UnitDisk.euclidean(4096),
-             random_smooth_disk(rng, 512)]
+             _random_strict_disk(rng, 512)]
     cases = [((0.0, 0.0), (1.0, 0.0), (-1.0, 1.0), (1, 2, 64)),
              ((0.1, 0.2), (0.4, 1.1), (0.25, 0.75), (1, 2)),
              ((-0.3, 0.5), (-0.31, 0.48), (-1000.0, 600.0), (1, 2, 17))]
@@ -341,10 +350,33 @@ def test_bisector_matches_line_by_line_reference():
                 assert np.array_equal(got, ref)
 
 
+def test_random_smooth_disk_is_not_strictly_convex():
+    # the blend keeps each edge of the polygon as a flat side, so the disk
+    # says so, and its vertices are those of the boundary-sample
+    # construction it used before, bit for bit
+    def by_boundary_samples(rng, n):
+        P = random_polygon_disk(rng)
+        lam = float(rng.uniform(0.25, 0.6))
+        th = np.arange(n // 2) * (math.pi / (n // 2))
+        normals = np.stack([np.cos(th), np.sin(th)], axis=1)
+        a = P.vertices[np.argmax(normals @ P.vertices.T, axis=1)]
+        half = (1.0 - lam) * a + lam * normals
+        return UnitDisk.from_boundary_samples(np.concatenate([half, -half]))
+
+    for seed in range(50):
+        for n in (64, 512, 768):
+            disk = random_smooth_disk(np.random.default_rng(seed), n)
+            ref = by_boundary_samples(np.random.default_rng(seed), n)
+            assert not disk.is_strictly_convex and disk.kind == ref.kind
+            assert np.array_equal(disk.vertices, ref.vertices)
+    with pytest.raises(UnsupportedDiskError):
+        bisector_sample(disk, (0, 0), (1, 0), (-1, 1), 3)
+
+
 def test_bisector_far_lines_stop_at_float_spacing():
     # at offsets near 1e15 the bracket shrinks to the float spacing before
     # 1e-10; each line stops there instead of bisecting forever
-    disk = random_smooth_disk(np.random.default_rng(7), 512)
+    disk = _random_strict_disk(np.random.default_rng(7), 512)
     a = np.array([0.1, 0.2])
     b = a + np.array([math.cos(1.05), math.sin(1.05)])
     P = bisector_sample(disk, a, b, (-1e15, 1e15), 5).samples.points

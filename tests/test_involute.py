@@ -9,7 +9,7 @@ from mchords.curvekit import check_increasing_chords, check_increasing_wrt_set
 from mchords.errors import GeometryError
 from mchords.involute import (ConvexBody, _snap_to_boundary, build_involute,
                               involute_support_direction)
-from mchords.normplane import _shift, gauge_many, unit_vectors
+from mchords.normplane import _negligible, _shift, gauge_many, unit_vectors
 from mchords.verify import random_base_body, random_polygon_disk, random_smooth_disk
 
 import oracles
@@ -262,8 +262,8 @@ def _involute_by_loops(norm, base, p, theta_min, theta_max, n):
         return P[k] - D[k, None] * unit_vectors(norm, alpha)
 
     pts = unroll(thetas + rot)
-    scale = max(1.0, base.diameter, float(np.abs(D).max()))
-    keep = np.concatenate([[True], np.hypot(*(pts[1:] - pts[:-1]).T) > 1e-12 * scale])
+    tiny = _negligible(np.concatenate([W, pts]))  # of the base and the curve drawn
+    keep = np.concatenate([[True], np.hypot(*(pts[1:] - pts[:-1]).T) > tiny])
     return (A, D, P), thetas[keep], pts[keep], lambda t: unroll(np.asarray(t) + rot)
 
 
