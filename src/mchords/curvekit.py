@@ -339,10 +339,10 @@ def _certified_lines(P, PT, ET, gET, pair_terms, share):
     certificate proves, and the number of pairs evaluated; None for the
     lines once the exact work would pass `share` pairs."""
     n = len(P)
-    D = math.hypot(*np.ptp(P, axis=0))
-    if not math.isfinite(2.0 * D * D):  # the box arithmetic of _unproved_blocks
+    D, eps = math.hypot(*np.ptp(P, axis=0)), np.finfo(float).eps
+    if not np.finfo(float).tiny <= 2.0 * D * D * eps * eps < math.inf:
         return None, 0
-    margin = (_CERT_ULPS * np.finfo(float).eps * D
+    margin = (_CERT_ULPS * eps * D
               * float(np.hypot(pair_terms.gx, pair_terms.gy).max()))
     A, B = np.triu_indices(-(-n // _CERT_BLOCKS[0]))
     for b, sub in zip(_CERT_BLOCKS, _CERT_BLOCKS[1:] + (0,)):
@@ -371,7 +371,8 @@ def _run_certified(P: np.ndarray, pair_terms, tol: float):
     and the number of pairs evaluated through the callback.  pair_terms
     is the disk's _Slopes.  A curve on which the certificate would
     evaluate more than _CERT_SHARE of all pairs, or whose box products (up
-    to 2 D^2, D below) would overflow, takes _plain_scan on the same tables.
+    to 2 D^2, D below) would overflow or, down to eps^2 of that, reach
+    subnormals, takes _plain_scan on the same tables.
 
     The bound.  On cone j of the disk the gauge is <a_j, w>, a_j its
     gradient, and its right slope along e at w is the largest <a_j, e>
@@ -558,7 +559,8 @@ def bisector_sample(disk: UnitDisk, a, b, y_range, n: int) -> BisectorSample:
     a = as_vec(a)
     b = as_vec(b)
     u = b - a
-    if math.hypot(*u) <= _negligible(np.array([a, b])):
+    # against |a| and |b|, not _negligible: the extent of {a, b} is |u| itself
+    if math.hypot(*u) <= 1e-12 * float(np.abs([a, b]).max()):
         raise ValueError("bisector_sample: a and b coincide")
     n = _as_count(n, "bisector_sample: n")
     if n < 1:

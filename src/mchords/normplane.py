@@ -408,14 +408,19 @@ def _half_circle(n: int, what: str) -> np.ndarray:
     return np.stack([np.cos(th), np.sin(th)], axis=1)
 
 
-def _negligible(P: np.ndarray, c: float = 1e-12):
-    """The one scale rule: a length is negligible against the points P
-    (..., m, d) it belongs to when it is at most c times their extent (the
-    larger side of their bounding box; c hi - c lo stays finite) or 1e-15
-    times their largest coordinate, the float resolution far from the
-    origin.  No absolute floor: 2^k P gets 2^k times P's threshold."""
+def _box(P: np.ndarray):
+    """The bounding box of the points P (..., m, d): its corners hi, lo."""
     Q = np.ascontiguousarray(P.swapaxes(-1, -2))  # (..., d, m): fast to reduce
-    hi, lo = Q.max(axis=-1), Q.min(axis=-1)
+    return Q.max(axis=-1), Q.min(axis=-1)
+
+
+def _negligible(P: np.ndarray, c: float = 1e-12, box=None):
+    """The one scale rule: a length is negligible against the points P
+    (..., m, d) when it is at most c times their extent, the larger side of
+    their bounding box (_box(P), if not given; c hi - c lo stays finite),
+    or 1e-15 times their largest coordinate, the float resolution far from
+    the origin.  No absolute floor: 2^k P gets 2^k times P's threshold."""
+    hi, lo = _box(P) if box is None else box
     return np.maximum((c * hi - c * lo).max(axis=-1),
                       1e-15 * np.maximum(hi, -lo).max(axis=-1))
 
@@ -439,9 +444,10 @@ class ConvexBody:
         if not np.all(np.isfinite(P)):
             raise ValueError("ConvexBody: non-finite coordinates")
         E = _shift(P) - P
-        if np.hypot(E[:, 0], E[:, 1]).min() <= _negligible(P):
+        hi, lo = box = _box(P)
+        if np.hypot(E[:, 0], E[:, 1]).min() <= _negligible(P, box=box):
             raise ValueError("ConvexBody: repeated consecutive boundary points")
-        ext2 = float(_negligible(P, 1.0)) ** 2  # at c = 1 the rule is the extent
+        ext2 = float((hi - lo).max()) ** 2
         turn = _cross(E, _shift(E))
         if turn.min() < -1e-9 * ext2:
             bad = int(np.argmin(turn))
@@ -651,12 +657,8 @@ def support(disk_or_body, normal) -> SupportLine:
     mask = d >= d[m] - tol
     i0, i1 = _circular_run(mask, m)
     direction = np.array([-n[1], n[0]]) / nn
-    if i0 == i1:
-        contact = V[i0].copy()
-        point = V[i0].copy()
-    else:
-        contact = np.array([V[i0], V[i1]])
-        point = V[i0].copy()
+    contact = V[i0].copy() if i0 == i1 else np.array([V[i0], V[i1]])
+    point = V[i0].copy()
     return SupportLine(point=point, direction=direction,
                        theta=math.atan2(direction[1], direction[0]), contact=contact)
 

@@ -15,13 +15,9 @@ _MARGIN = 0.05
 def _bounds(layers):
     pts = np.concatenate([np.asarray(la["points"], dtype=float)
                           for la in layers if len(la["points"])])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9))
-    pad = _MARGIN * span
-    c = 0.5 * (lo + hi)
-    half = 0.5 * span + pad
-    return c, half
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = float((hi - lo).max()) or 1.0  # a lone point draws at the centre at any span
+    return 0.5 * (lo + hi), 0.5 * span + _MARGIN * span
 
 
 def _path(points, closed, transform):

@@ -218,3 +218,33 @@ def test_a_chain_too_wide_for_the_boxes_takes_the_plain_scan():
             assert rep.holds == holds
             plain = curvekit._run_two_sided(Q * s, terms, s * 1e-6)
             assert (rep.max_deficit, rep.witnesses) == plain
+
+
+def test_a_chain_too_small_for_the_boxes_takes_the_plain_scan(monkeypatch):
+    # the l6 chain, a 120-point walk and two straight runs on the square
+    # scaled by 2^-600, where the box products (about D^2) fall to 0 and
+    # each box to its centre direction, which would prove the runs' block
+    # pair on one cone of the square and miss the deficit on the other:
+    # the certificate, even forced on, gives the plain kernel's report,
+    # which is the unscaled report with every deficit scaled, bit for bit
+    l6 = UnitDisk.lp(6.0, 4096)
+    walk = np.cumsum(np.random.default_rng(1).normal(size=(120, 2)), axis=0)
+    i = np.arange(32.0)[:, None]
+    runs = np.concatenate([0.005 * i * [math.cos(1.2), math.sin(1.2)],
+                           (0.43, 0.71) + 0.02 * i * [math.cos(-0.7), math.sin(-0.7)]])
+    s = 2.0 ** -600
+    for disk, P in ((l6, chain(l6, 0.75)), (UnitDisk.lp(3.0, 4096), walk),
+                    (UnitDisk.square(), runs)):
+        terms = _gauge_slopes(disk)
+        ref = curvekit._run_two_sided(P, terms, 1e-6)
+        for settings in MODES:
+            with monkeypatch.context() as m:
+                for key, value in settings.items():
+                    m.setattr(curvekit, key, value)
+                deficit, wits, _ = curvekit._run_certified(P * s, terms, s * 1e-6)
+            assert (deficit, wits) == curvekit._run_two_sided(P * s, terms, s * 1e-6)
+            assert deficit == ref[0] * s
+            assert [(w.quad, w.deficit) for w in wits] == [(w.quad, w.deficit * s)
+                                                          for w in ref[1]]
+        rep = curvekit.check_increasing_chords(disk, curvekit.Polyline(P * s), tol=s * 1e-6)
+        assert (rep.holds, rep.max_deficit) == (ref[0] <= 1e-6, ref[0] * s)

@@ -17,6 +17,7 @@ from mchords import (ConvexBody, GeometryError, InvalidDiskError, Polyline,
                      hypercube_curve, inscribed_hexagon, lm, reuleaux,
                      reuleaux_two_sides, unit_vector)
 from mchords.highdim import PolylineD
+from mchords.svgout import render
 from mchords.verify import (random_base_body, random_polygon_disk,
                             random_smooth_disk)
 
@@ -148,3 +149,13 @@ def test_coincident_points_are_refused_at_every_scale():
             PolylineD(P * s)
         with pytest.raises(ValueError, match="repeated"):
             ConvexBody(np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-13), (0.0, 1.0)]) * s)
+
+
+def test_svg_drawing_does_not_depend_on_scale():
+    # the drawing fills the view box at any span; a lone point sits at the centre
+    layers = [{"points": BACKTRACK, "closed": False, "stroke": "#000", "width": 1.0}]
+    ref = render(layers)
+    for k in KS:
+        assert render([dict(layers[0], points=BACKTRACK * 2.0 ** k)]) == ref, k
+    dot = render([{"points": BACKTRACK[1:2] * 2.0 ** -40, "stroke": "#000", "width": 1.0}])
+    assert 'cx="500.00" cy="500.00"' in dot
