@@ -148,6 +148,13 @@ def _corners(T: _Stack, U: np.ndarray, W: np.ndarray) -> np.ndarray:
     disk's rows are cut in a stack as alone; their bracket may take the
     other path, which found the same vertex in every test, flat
     stretches included, so a disk scores the same bits in a stack.
+
+    A row's last bit may depend on how many rows share the call: the cut
+    of _cut_all takes d @ gT, and the BLAS kernel that computes it for
+    one row is not the one for eight, so the products, and the corner,
+    may differ in the last place (by up to 4.4e-16 on 44 seeded
+    random_disk draws).  maxmin_search's pinned results rest on that
+    arithmetic as it is.
     """
     V, n = T.V, T.n
     base = T.rows(len(U))
@@ -205,27 +212,42 @@ def _cut(prev, d, den, num):
     return prev + np.clip(t, 0.0, 1.0)[..., None] * d
 
 
-def _arc(disk: UnitDisk, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The CCW boundary arc of M from a to b (both on it, b less than a
-    full turn on): a, the vertices in between, b.  Vertices within the disk's
-    _negligible length of a neighbour are dropped, so a and b stay exact."""
-    V = disk.vertices
-    n = len(V)
-    ja, jb = disk._T.cone(*np.array([a, b]).T)
-    P = np.concatenate([a[None, :], V[(ja + 1 + np.arange((jb - ja) % n)) % n],
-                        b[None, :]])
-    far = np.hypot(*np.diff(P, axis=0).T) > disk._T.tiny[0]
-    keep = np.ones(len(P), dtype=bool)
-    keep[1:-1] = far[:-1] & far[1:]
-    return P[keep]
+def _arcs(T: _Stack, A: np.ndarray, B: np.ndarray):
+    """The CCW boundary arcs of M, the one disk of the stack T, from each
+    row of A to the same row of B (both on it, B less than a full turn
+    on): a, the vertices in between, b.  Vertices within the disk's
+    _negligible length of a neighbour are dropped, so a and b stay exact.
+    The arcs are padded to one length, as (P, keep): arc r is P[r][keep[r]]."""
+    V, n, k = T.V, T.n, len(A)
+    ja, jb = T.cone(*np.concatenate([A, B]).T).reshape(2, k)
+    last = ((jb - ja) % n + 1)[:, None]  # where b goes
+    i = np.arange(int(last.max()) + 1)
+    P = V[(ja[:, None] + i) % n]
+    P[:, 0] = A
+    P[np.arange(k), last[:, 0]] = B
+    D = P[:, 1:] - P[:, :-1]
+    far = np.hypot(D[..., 0], D[..., 1]) > T.tiny[0]
+    keep = i <= last
+    keep[:, 1:-1] &= (far[:, :-1] & far[:, 1:]) | (i[1:-1] == last)
+    return P, keep
 
 
-def _lens_corners(disk: UnitDisk, w: np.ndarray, d: float):
-    """(x_plus, x_minus) of the lens M Intersect (w + M), gauge(w) = d in
-    (0, 2): the lens is symmetric about w/2, and x_plus is the first
-    boundary point CCW from w/d at gauge distance 1 from w."""
-    x_plus = _corners(disk._T, (w / d)[None, :], w[None, :])[0]
-    return x_plus, w - x_plus
+def _lens_corners(T: _Stack, W: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """x_plus of the lens M Intersect (w + M) for each row w of W, gauge(w)
+    = d in (0, 2): the lens is symmetric about w/2 (x_minus = w - x_plus),
+    and x_plus is the first boundary point CCW from w/d at gauge distance
+    1 from w."""
+    return _corners(T, W / d[:, None], W)
+
+
+def _lens_check(d: np.ndarray):
+    """Refuse the first chord whose translates do not overlap in a
+    two-dimensional body."""
+    far = d >= 2.0 - 1e-12
+    if far.any():
+        raise GeometryError(
+            "translates at gauge distance %.17g do not overlap in a "
+            "two-dimensional body" % d[far.argmax()])
 
 
 def intersect_translates(disk: UnitDisk, p, q) -> ConvexBody:
@@ -238,17 +260,15 @@ def intersect_translates(disk: UnitDisk, p, q) -> ConvexBody:
     """
     p = as_vec(p)
     q = as_vec(q)
-    w = q - p
-    d = gauge(disk, w)
-    if d >= 2.0 - 1e-12:
-        raise GeometryError(
-            "translates at gauge distance %.17g do not overlap in a "
-            "two-dimensional body" % d)
-    if d <= 1e-14:
+    W = (q - p)[None]
+    d = disk._T.gauge(W)
+    _lens_check(d)
+    if d[0] <= 1e-14:
         return ConvexBody(disk.vertices + p, exact_polygon=disk.is_polygonal)
-    x_plus, x_minus = _lens_corners(disk, w, d)
-    A = _arc(disk, x_minus, x_plus)
-    ring = np.concatenate([A, (w - A)[1:-1]])
+    x_plus = _lens_corners(disk._T, W, d)
+    P, keep = _arcs(disk._T, W - x_plus, x_plus)
+    A = P[0, keep[0]]
+    ring = np.concatenate([A, (W - A)[1:-1]])
     return ConvexBody(p + ring, exact_polygon=disk.is_polygonal)
 
 
@@ -261,8 +281,9 @@ def lens_corners(disk: UnitDisk, p, q):
     d = gauge(disk, q - p)
     if d >= 2.0 - 1e-12 or d <= 1e-14:
         raise GeometryError("lens corners undefined at gauge distance %.17g" % d)
-    x_plus, x_minus = _lens_corners(disk, q - p, d)
-    return p + x_plus, p + x_minus
+    w = q - p
+    x_plus = _lens_corners(disk._T, w[None], np.array([d]))[0]
+    return p + x_plus, p + (w - x_plus)
 
 
 # -- perimeter and the lens profile ---------------------------------------
@@ -344,7 +365,12 @@ def lm(disk: UnitDisk, direction: float) -> float:
 
 def lm_sweep(disk: UnitDisk, n: int) -> LmProfile:
     """Profile of lm over n equally spaced directions in [0, pi); for
-    polygonal disks the vertex directions are swept as well."""
+    polygonal disks the vertex directions are swept as well.
+
+    All directions go through one _lm_at call, so a value may differ from
+    lm(disk, direction) in the last bits (see _corners): lm and an 8-row
+    _lm_at differed on 20 of 44 seeded random_disk draws, by up to
+    8.9e-16."""
     n = _as_count(n, "lm_sweep: n")
     if n < 4:
         raise ValueError("lm_sweep: need n >= 4 directions")
@@ -424,8 +450,9 @@ def reuleaux(disk: UnitDisk, hexagon: Hexagon):
     """
     verts = _validate_hexagon(disk, hexagon)
     p, q = verts[0], verts[1]
-    ring = np.concatenate([(q + _arc(disk, -q, p - q))[:-1], _arc(disk, p, q),
-                           (p + _arc(disk, q - p, -p))[1:-1]])
+    P, keep = _arcs(disk._T, np.array([-q, p, q - p]), np.array([p - q, q, -p]))
+    A = [P[r, keep[r]] for r in range(3)]
+    ring = np.concatenate([(q + A[0])[:-1], A[1], (p + A[2])[1:-1]])
     body = ConvexBody(ring, exact_polygon=disk.is_polygonal)
     per = perimeter(disk, body)
     full = perimeter(disk, disk.vertices)
@@ -470,21 +497,6 @@ def reuleaux_two_sides(body: ConvexBody, a, b) -> np.ndarray:
 
 # -- the bounding parallelogram certificate -------------------------------
 
-def _edge_direction_at(disk: UnitDisk, x: np.ndarray) -> np.ndarray:
-    j = int(disk._T.cone(*x[:, None])[0])
-    V = disk.vertices
-    e = V[(j + 1) % len(V)] - V[j]
-    return e / math.hypot(e[0], e[1])
-
-
-def _line_intersection(p1, d1, p2, d2):
-    den = float(_cross(d1[None, :], d2[None, :])[0])
-    if abs(den) < 1e-15 * math.hypot(*d1) * math.hypot(*d2):
-        raise GeometryError("parallel support lines do not meet")
-    s = float(_cross((p2 - p1)[None, :], d2[None, :])[0]) / den
-    return p1 + s * d1
-
-
 def bounding_parallelogram(disk: UnitDisk, p, q) -> np.ndarray:
     """Parallelogram containing the lens (p+M) Intersect (q+M), bounded
     by support lines of the lens at p and q and by the two support lines
@@ -493,26 +505,60 @@ def bounding_parallelogram(disk: UnitDisk, p, q) -> np.ndarray:
     [x_p_plus, x_p_minus, x_q_plus, x_q_minus].
 
     The certificate gauge(x_p_plus - p) <= 1 bounds the lens
-    half-perimeter by 3.
+    half-perimeter by 3.  The batch of one of _parallelograms.
     """
-    p = as_vec(p)
-    q = as_vec(q)
-    d = gauge(disk, q - p)
-    if d <= 1e-14:
+    return _parallelograms(disk, as_vec(p)[None], as_vec(q)[None])[0]
+
+
+def _parallelograms(disk: UnitDisk, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """bounding_parallelogram of each row pair of P, Q (k, 2), as (k, 4, 2).
+
+    The lens corners of all rows come from one _corners call and its arcs
+    from one _arcs call.  The support line at p has the direction of the
+    edge of M whose cone holds p - q; the lines parallel to the chord
+    pass through the lens ring's extremes along +-n, n the chord's left
+    normal, the first of equal ones in ring order (the arc A from x_minus
+    to x_plus, then q - A inside it).  A row's bits may depend on the
+    rows sharing the call, through _corners.
+    """
+    T = disk._T
+    W = Q - P
+    d = T.gauge(W)
+    small = d <= 1e-14
+    if small.any():
         raise GeometryError("bounding_parallelogram: undefined for a chord "
-                            "of gauge length %.17g" % d)
-    body = intersect_translates(disk, p, q)
-    X = body.vertices
-    d_pq = q - p
-    w = _edge_direction_at(disk, p - q)
-    n_plus = np.array([-d_pq[1], d_pq[0]])
-    up = X[int(np.argmax(X @ n_plus))]
-    dn = X[int(np.argmin(X @ n_plus))]
-    x_p_plus = _line_intersection(p, w, up, d_pq)
-    x_p_minus = _line_intersection(p, w, dn, d_pq)
-    x_q_plus = x_p_plus + d_pq
-    x_q_minus = x_p_minus + d_pq
-    return np.array([x_p_plus, x_p_minus, x_q_plus, x_q_minus])
+                            "of gauge length %.17g" % d[small.argmax()])
+    _lens_check(d)
+    x_plus = _lens_corners(T, W, d)
+    A, keep = _arcs(T, W - x_plus, x_plus)
+    rows = np.arange(len(A))
+    # the reflected arc drops its ends: column 0 and b's, the last kept one
+    inner = keep.copy()
+    inner[:, 0] = False
+    inner[rows, keep.shape[1] - 1 - keep[:, ::-1].argmax(axis=1)] = False
+    X = np.concatenate([P[:, None] + A, P[:, None] + (W[:, None] - A)], axis=1)
+    ring = np.concatenate([keep, inner], axis=1)
+    h = X[..., 1] * W[:, None, 0] - X[..., 0] * W[:, None, 1]  # <X, n>, n = (-w_y, w_x)
+    up = X[rows, np.where(ring, h, -np.inf).argmax(axis=1)]
+    dn = X[rows, np.where(ring, h, np.inf).argmin(axis=1)]
+    j = T.cone(*(P - Q).T)
+    e = T.V[(j + 1) % T.n] - T.V[j]
+    # math.hypot, not np.hypot: the two differ in the last bit on about
+    # 0.6% of vectors, and the single-row function has always used math's
+    e /= np.array([math.hypot(x, y) for x, y in e.tolist()])[:, None]
+    x_p = [_line_intersections(P, e, x, W) for x in (up, dn)]
+    return np.stack(x_p + [x + W for x in x_p], axis=1)
+
+
+def _line_intersections(p1, d1, p2, d2):
+    """Where each line p1 + s d1 meets the line p2 + t d2 of its row; the
+    first pair of (near) parallel lines raises."""
+    den = _cross(d1, d2)
+    par = np.abs(den) < 1e-15 * np.hypot(*d1.T) * np.hypot(*d2.T)
+    if par.any():
+        raise GeometryError("parallel support lines do not meet")
+    s = _cross(p2 - p1, d2) / den
+    return p1 + s[:, None] * d1
 
 
 # -- the MaxMin search ----------------------------------------------------

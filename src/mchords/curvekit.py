@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import GeometryError, UnsupportedDiskError
 from .normplane import (TWO_PI, UnitDisk, as_vec, gauge, gauge_many, _as_count,
-                        _gauge_slopes, _negligible)
+                        _box, _gauge_slopes, _negligible)
 
 _BLOCK_ELEMS = 1 << 16  # pairs per row block of the chord kernel, at most
 _BLOCK_ROWS = 32  # rows per block, at most: a block discards B^2 / 2 pairs h <= l
@@ -339,7 +339,7 @@ def _certified_lines(P, PT, ET, gET, pair_terms, share):
     certificate proves, and the number of pairs evaluated; None for the
     lines once the exact work would pass `share` pairs."""
     n = len(P)
-    D, eps = math.hypot(*np.ptp(P, axis=0)), np.finfo(float).eps
+    D, eps = math.hypot(*(PT.max(axis=1) - PT.min(axis=1))), np.finfo(float).eps
     if not np.finfo(float).tiny <= 2.0 * D * D * eps * eps < math.inf:
         return None, 0
     margin = (_CERT_ULPS * eps * D
@@ -461,8 +461,9 @@ def _check_extent(what, points, reach):
     """Refuse points whose chord scan could overflow: D reach must be
     finite, D the diagonal of their bounding box and reach the largest
     factor by which the norm's callback multiplies a difference."""
+    hi, lo = _box(points)
     with np.errstate(over="ignore"):
-        D = math.hypot(*np.ptp(points, axis=0))
+        D = math.hypot(*(hi - lo))
     if not math.isfinite(D * reach):
         raise GeometryError("%s: the points span %.17g; their gauges would overflow" % (what, D))
 

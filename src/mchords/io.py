@@ -43,10 +43,13 @@ def disk_to_json(disk: UnitDisk) -> str:
     return '{"kind": "polygon", "vertices": [%s]}' % verts
 
 
-def _csv(header: str, rows) -> str:
-    """CSV text: the header line, then one line of %.17g values per row."""
+def _csv(header: str, rows: np.ndarray) -> str:
+    """CSV text: the header line, then one line of %.17g values per row.
+    The rows are formatted as Python floats (rows.tolist()), which print
+    as numpy's float64 scalars do, one conversion per array instead of
+    one per value."""
     lines = [header]
-    lines.extend(",".join(_F % v for v in row) for row in rows)
+    lines.extend(",".join(_F % v for v in row) for row in rows.tolist())
     return "\n".join(lines) + "\n"
 
 

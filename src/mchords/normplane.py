@@ -421,8 +421,7 @@ def _negligible(P: np.ndarray, c: float = 1e-12, box=None):
     or 1e-15 times their largest coordinate, the float resolution far from
     the origin.  No absolute floor: 2^k P gets 2^k times P's threshold."""
     hi, lo = _box(P) if box is None else box
-    return np.maximum((c * hi - c * lo).max(axis=-1),
-                      1e-15 * np.maximum(hi, -lo).max(axis=-1))
+    return np.maximum(c * hi - c * lo, 1e-15 * np.maximum(hi, -lo)).max(axis=-1)
 
 
 class ConvexBody:
@@ -685,17 +684,26 @@ def is_birkhoff_orthogonal(disk: UnitDisk, v, u, tol: float = 1e-9) -> bool:
 
     t -> gauge(v + t*u) is convex and piecewise linear, so its minimum is
     taken at a breakpoint, where v + t*u crosses the ray of a vertex V_i:
-    t_i = -(V_i x v) / (V_i x u).
+    t_i = -(V_i x v) / (V_i x u).  The batch of one of _birkhoff_many.
     """
-    v = as_vec(v)
-    u = as_vec(u)
-    gv = gauge(disk, v)
-    if gv == 0.0 or gauge(disk, u) == 0.0:
+    return bool(_birkhoff_many(disk, as_vec(v)[None], as_vec(u)[None], tol)[0])
+
+
+def _birkhoff_many(disk: UnitDisk, v: np.ndarray, u: np.ndarray,
+                   tol: float) -> np.ndarray:
+    """is_birkhoff_orthogonal of each row pair of v, u (k, 2): the
+    breakpoints of all rows as one (k, n) table, gauged in one call.  A
+    zero row in either raises ValueError."""
+    T = disk._T
+    gv = T.gauge(v)
+    if not (gv.all() and T.gauge(u).all()):
         raise ValueError("is_birkhoff_orthogonal: zero vector")
-    cu = _cross(disk.vertices, u)
+    V = T.V[None]
+    cu = _cross(V, u[:, None])
     on = cu != 0.0
-    t = -_cross(disk.vertices[on], v) / cu[on]
-    return float(gauge_many(disk, v + t[:, None] * u).min()) >= gv - tol
+    t = np.divide(-_cross(V, v[:, None]), cu, out=np.zeros_like(cu), where=on)
+    g = T.gauge(v[:, None] + t[..., None] * u[:, None])
+    return np.where(on, g, np.inf).min(axis=1) >= gv - tol
 
 
 # -- boundary arc length --------------------------------------------------
@@ -706,42 +714,56 @@ def locate_on_boundary(vertices: np.ndarray, x,
     index, parameter in [0, 1], snapped point).
 
     x must be on the boundary: at a distance above _negligible(vertices,
-    1e-9) it raises GeometryError naming `what`.
+    1e-9) it raises GeometryError naming `what`.  The batch of one of
+    _locate_many.
     """
-    x = as_vec(x)
-    A = vertices
-    B = _shift(vertices)
-    ab = B - A
+    i, t, snapped = _locate_many(vertices, as_vec(x)[None], what)
+    return int(i[0]), float(t[0]), snapped[0]
+
+
+def _locate_many(A: np.ndarray, X: np.ndarray, what: str):
+    """locate_on_boundary of each row of X (k, 2), projected onto every
+    edge of the ring A in one (k, n) table: (edge index, parameter,
+    snapped point) as arrays.  The first row off the boundary raises."""
+    ab = _shift(A) - A
     denom = np.einsum("ij,ij->i", ab, ab)
-    denom = np.where(denom == 0, 1.0, denom)
-    t = np.clip(np.einsum("ij,ij->i", x[None, :] - A, ab) / denom, 0.0, 1.0)
-    proj = A + t[:, None] * ab
-    d2 = np.einsum("ij,ij->i", proj - x[None, :], proj - x[None, :])
-    i = int(np.argmin(d2))
-    dist = math.sqrt(float(d2[i]))
-    if dist > _negligible(A, 1e-9):
+    denom[denom == 0] = 1.0
+    t = np.einsum("kij,ij->ki", X[:, None] - A, ab)
+    t /= denom
+    np.maximum(0.0, t, out=t)  # with the next line, np.clip's bits at less cost
+    np.minimum(t, 1.0, out=t)
+    proj = A + t[..., None] * ab
+    r = proj - X[:, None]
+    d2 = np.einsum("kij,kij->ki", r, r)
+    rows = np.arange(len(X))
+    i = d2.argmin(axis=1)
+    dist = np.sqrt(d2[rows, i])
+    off = dist > _negligible(A, 1e-9)
+    if off.any():
+        b = int(off.argmax())
         raise GeometryError("%s (%.17g, %.17g) is not on the boundary "
-                            "(distance %.3g)" % (what, x[0], x[1], dist))
-    return i, float(t[i]), proj[i]
+                            "(distance %.3g)" % (what, X[b, 0], X[b, 1], dist[b]))
+    return i, t[rows, i], proj[rows, i]
 
 
 def boundary_arclength(disk: UnitDisk, body, p, q) -> float:
     """Length, in the norm of `disk`, of the CCW boundary arc of `body`
     from p to q.  Both points must lie on the boundary (see
-    locate_on_boundary).  Result is in [0, perimeter)."""
+    locate_on_boundary).  Result is in [0, perimeter).  The batch of one
+    of _boundary_arclengths."""
+    return float(_boundary_arclengths(disk, body, as_vec(p)[None], as_vec(q)[None])[0])
+
+
+def _boundary_arclengths(disk: UnitDisk, body, P: np.ndarray,
+                         Q: np.ndarray) -> np.ndarray:
+    """boundary_arclength from each row of P (k, 2) to the same row of Q:
+    the body's edge gauges are taken once, and the 2k points located in
+    one _locate_many call, the rows of P first."""
     V = _vertices_of(body)
-    e = _shift(V) - V
-    eg = gauge_many(disk, e)
-    cum = np.concatenate([[0.0], np.cumsum(eg)])
-    perim = float(cum[-1])
-
-    def pos(x):
-        i, t, snapped = locate_on_boundary(V, x, "boundary_arclength: point")
-        return cum[i] + gauge(disk, snapped - V[i])
-
-    sp = pos(p)
-    sq = pos(q)
+    cum = np.concatenate([[0.0], np.cumsum(gauge_many(disk, _shift(V) - V))])
+    perim = cum[-1]
+    i, _, snapped = _locate_many(V, np.concatenate([P, Q]), "boundary_arclength: point")
+    sp, sq = (cum[i] + disk._T.gauge(snapped - V[i])).reshape(2, -1)
     d = sq - sp
-    if abs(d) < 1e-12 * perim:  # a length in the norm, against the same norm's perimeter
-        return 0.0
-    return float(d % perim)
+    # a length in the norm, against the same norm's perimeter
+    return np.where(np.abs(d) < 1e-12 * perim, 0.0, d % perim)

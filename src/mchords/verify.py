@@ -11,15 +11,15 @@ import math
 
 import numpy as np
 
-from .chordbound import (bounding_parallelogram, inscribed_hexagon, lm,
+from .chordbound import (_lm_at, _parallelograms, inscribed_hexagon, lm,
                          perimeter, reuleaux, reuleaux_two_sides)
 from .curvekit import (Polyline, arclength, check_increasing_chords,
                        convexify, is_x_monotone)
 from .highdim import (check_increasing_chords_dd, chebyshev_arclength,
                       hypercube_curve, PolylineD)
 from .involute import build_involute
-from .normplane import (ConvexBody, UnitDisk, boundary_arclength, gauge,
-                        gauge_many, is_birkhoff_orthogonal, support,
+from .normplane import (ConvexBody, UnitDisk, _birkhoff_many,
+                        _boundary_arclengths, gauge_many, support,
                         unit_vector, unit_vectors, DEFAULT_RESOLUTION)
 
 TWO_THIRDS_PI = 2.0 * math.pi / 3.0
@@ -175,16 +175,15 @@ def _check_birkhoff(disks, rng):
     for name, disk in disks.items():
         V = disk.vertices
         m = len(V)
-        for th in rng.uniform(0.0, 2.0 * math.pi, 25):
-            x = unit_vector(disk, th)
-            j = int(np.argmin(np.hypot(*(V - x).T))) if disk.is_polygonal else None
-            if j is not None and math.hypot(*(V[j] - x)) <= 1e-9:
-                e = V[(j + 1) % m] - V[j]
-            else:
-                jj = int(disk._T.cone(*x[:, None])[0])
-                e = V[(jj + 1) % m] - V[jj]
-            if not is_birkhoff_orthogonal(disk, x, e, tol=1e-7):
-                return False, "%s: radial not orthogonal to boundary edge" % name
+        X = unit_vectors(disk, rng.uniform(0.0, 2.0 * math.pi, 25))
+        j = disk._T.cone(*X.T)
+        if disk.is_polygonal:  # a unit vector at a vertex takes the next edge
+            D = V[None] - X[:, None]
+            dist = np.hypot(D[..., 0], D[..., 1])
+            near = dist.argmin(axis=1)
+            j = np.where(dist[np.arange(len(X)), near] <= 1e-9, near, j)
+        if not _birkhoff_many(disk, X, V[(j + 1) % m] - V[j], 1e-7).all():
+            return False, "%s: radial not orthogonal to boundary edge" % name
     return True, "radial/tangent pairs orthogonal on all builtins"
 
 
@@ -192,14 +191,11 @@ def _check_arc_additivity(disks, rng):
     worst = 0.0
     for disk in disks.values():
         per = perimeter(disk, disk.vertices)
-        for _ in range(10):
-            p = unit_vector(disk, rng.uniform(0, 2 * math.pi))
-            q = unit_vector(disk, rng.uniform(0, 2 * math.pi))
-            if math.hypot(*(p - q)) < 1e-6:
-                continue
-            s = boundary_arclength(disk, disk, p, q) + \
-                boundary_arclength(disk, disk, q, p)
-            worst = max(worst, abs(s - per) / per)
+        P, Q = unit_vectors(disk, rng.uniform(0, 2 * math.pi, (10, 2)).T)
+        s = _boundary_arclengths(disk, disk, np.concatenate([P, Q]),
+                                 np.concatenate([Q, P])).reshape(2, -1).sum(axis=0)
+        apart = np.hypot(*(P - Q).T) >= 1e-6
+        worst = max(worst, float((np.abs(s - per) / per).max(initial=0.0, where=apart)))
     return worst <= 1e-6, "max additivity error %.3g (relative)" % worst
 
 
@@ -242,17 +238,20 @@ def _check_involute_anchor(disks, rng):
     return worst <= 1e-9, "max |involute(0) - p| = %.3g" % worst
 
 
+def _lm_many(disk, thetas) -> np.ndarray:
+    """lm of each direction, in one pass over the disk, as lm_sweep does."""
+    return _lm_at(disk._T, unit_vectors(disk, thetas))
+
+
 def _check_lm_builtins(disks, rng):
-    e = max(abs(lm(disks["euclidean"], th) - TWO_THIRDS_PI)
-            for th in np.linspace(0, math.pi, 8, endpoint=False))
+    e = float(np.abs(_lm_many(disks["euclidean"], np.linspace(0, math.pi, 8, endpoint=False))
+                     - TWO_THIRDS_PI).max())
     if e > 1e-3:
         return False, "euclidean lm off by %.3g" % e
-    sq0 = lm(disks["square"], 0.0)
-    sq1 = lm(disks["square"], math.pi / 4.0)
+    sq0, sq1 = _lm_many(disks["square"], [0.0, math.pi / 4.0])
     if abs(sq0 - 3.0) > 1e-9 or abs(sq1 - 2.0) > 1e-9:
         return False, "square lm: dir0 %.12g, dir pi/4 %.12g" % (sq0, sq1)
-    hx = [lm(disks["hexagon"], th) for th in np.linspace(0, math.pi, 9)]
-    dev = max(abs(v - 2.0) for v in hx)
+    dev = float(np.abs(_lm_many(disks["hexagon"], np.linspace(0, math.pi, 9)) - 2.0).max())
     if dev > 1e-6:
         return False, "hexagon lm not constant 2 (dev %.3g)" % dev
     return True, "euclidean 2pi/3, square {2,3}, hexagon 2"
@@ -316,13 +315,12 @@ def _check_lens_envelope(disks, rng):
     worst_lo, worst_hi, cert = np.inf, -np.inf, -np.inf
     for _ in range(10):
         disk = random_disk(rng)
-        for th in rng.uniform(0.0, math.pi, 8):
-            v = lm(disk, th)
-            worst_lo = min(worst_lo, v)
-            worst_hi = max(worst_hi, v)
-            q = unit_vector(disk, th)
-            corners = bounding_parallelogram(disk, np.zeros(2), q)
-            cert = max(cert, gauge(disk, corners[0] - np.zeros(2)))
+        Q = unit_vectors(disk, rng.uniform(0.0, math.pi, 8))
+        v = _lm_at(disk._T, Q)
+        worst_lo = min(worst_lo, float(v.min()))
+        worst_hi = max(worst_hi, float(v.max()))
+        corners = _parallelograms(disk, np.zeros_like(Q), Q)
+        cert = max(cert, float(gauge_many(disk, corners[:, 0]).max()))
     ok = worst_lo >= 2.0 - 1e-6 and worst_hi <= 3.0 + 1e-6 and cert <= 1.0 + 1e-9
     return ok, "lm range [%.6f, %.6f], max corner gauge %.9f" % (
         worst_lo, worst_hi, cert)

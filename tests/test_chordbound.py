@@ -5,8 +5,9 @@ import pytest
 from scipy.spatial import HalfspaceIntersection
 
 from mchords import UnitDisk, boundary_arclength, gauge, unit_vector
-from mchords.chordbound import (_SCAN, Hexagon, _arc, _corners,
-                                _family_params, _lm_at, _min_lm,
+from mchords.chordbound import (_SCAN, Hexagon, _arcs, _corners,
+                                _family_params, _line_intersections, _lm_at,
+                                _min_lm, _parallelograms,
                                 bounding_parallelogram, inscribed_hexagon,
                                 intersect_translates,
                                 lens_corners, lm, lm_sweep, maxmin_search,
@@ -15,8 +16,8 @@ from mchords.curvekit import Polyline, arclength, check_increasing_chords
 from mchords.errors import GeometryError
 from mchords.involute import ConvexBody
 from mchords.normplane import _Stack, gauge_many, unit_vectors
-from mchords.verify import (convex_hull, random_disk, random_polygon_disk,
-                            random_smooth_disk)
+from mchords.verify import (builtin_disks, convex_hull, random_disk,
+                            random_polygon_disk, random_smooth_disk)
 
 import oracles
 
@@ -179,8 +180,9 @@ def test_corner_search_matches_scan():
             # lie at distance 1 from W, where "first" is decided by
             # rounding; there the two corners must share the stretch
             for i in np.nonzero(np.abs(X - Y).max(axis=1) > 1e-13 * scale)[0]:
-                assert min(np.abs(gauge_many(disk, _arc(disk, x, y) - W[i]) - 1.0).max()
-                           for x, y in ((X[i], Y[i]), (Y[i], X[i]))) <= 1e-13
+                A, keep = _arcs(disk._T, np.array([X[i], Y[i]]), np.array([Y[i], X[i]]))
+                assert min(np.abs(gauge_many(disk, A[r, keep[r]] - W[i]) - 1.0).max()
+                           for r in (0, 1)) <= 1e-13
         prof = lm_sweep(disk, rows + 1)
         assert len(prof.directions) * n > _SCAN
         picks = np.unique(np.concatenate([
@@ -478,6 +480,69 @@ def test_bounding_parallelogram_certificate_random():
         assert per <= 6.0 + 1e-6
         d = q - p
         assert 2.0 * lm(disk, math.atan2(d[1], d[0])) <= per + 1e-9
+
+
+def _parallelogram_disks():
+    rng = np.random.default_rng(33)
+    return (list(builtin_disks(512).values())
+            + [random_polygon_disk(rng) for _ in range(8)]
+            + [random_smooth_disk(rng) for _ in range(8)])
+
+
+def test_parallelogram_kernel_rows_match_the_single_calls():
+    # a row's last bits depend on how many rows share the _corners call;
+    # measured against the parallelogram's largest coordinate, a row of
+    # eight stays within 4 ulps of its call alone
+    rng = np.random.default_rng(34)
+    for disk in _parallelogram_disks():
+        Q = unit_vectors(disk, rng.uniform(0.0, math.pi, 8))
+        for P in (np.zeros_like(Q), rng.normal(0.0, 1.0, Q.shape)):
+            for s in (0.5, 1.0, 1.6):
+                got = _parallelograms(disk, P, P + s * Q)
+                one = np.array([bounding_parallelogram(disk, p, p + s * q)
+                                for p, q in zip(P, Q)])
+                for r in range(len(Q) if s == 1.0 else 0):
+                    assert np.array_equal(
+                        _parallelograms(disk, P[r:r + 1], P[r:r + 1] + s * Q[r:r + 1])[0],
+                        one[r])
+                ulp = np.spacing(np.abs(one).max(axis=(1, 2)))[:, None, None]
+                assert (np.abs(got - one) <= 4 * ulp).all()
+
+
+def test_arcs_rows_are_each_arc_alone():
+    rng = np.random.default_rng(35)
+    for disk in _parallelogram_disks():
+        A, B = unit_vectors(disk, rng.uniform(0.0, 2.0 * math.pi, (2, 9)))
+        A[0] = B[0] = disk.vertices[3]  # an empty arc, and vertices at both ends
+        B[1] = disk.vertices[1]
+        P, keep = _arcs(disk._T, A, B)
+        for r in range(len(A)):
+            P1, keep1 = _arcs(disk._T, A[r:r + 1], B[r:r + 1])
+            assert np.array_equal(P[r, keep[r]], P1[0, keep1[0]])
+            assert np.array_equal(P[r, keep[r]][[0, -1]], [A[r], B[r]])
+
+
+def test_parallelogram_kernel_refuses_each_bad_row_with_its_message():
+    disk = random_polygon_disk(np.random.default_rng(36))
+    Q = unit_vectors(disk, np.linspace(0.0, 3.0, 5))
+    P = np.zeros_like(Q)
+    for bad, match in ((1e-15, "bounding_parallelogram: undefined for a chord of "
+                               "gauge length"),
+                       (2.0, "translates at gauge distance")):
+        R = Q.copy()
+        R[3] *= bad
+        with pytest.raises(GeometryError) as single:
+            bounding_parallelogram(disk, P[3], R[3])
+        with pytest.raises(GeometryError) as batch:
+            _parallelograms(disk, P, R)
+        assert str(batch.value) == str(single.value)
+        assert str(batch.value).startswith(match)
+    # the support lines are never parallel on a valid disk; the line cut
+    # refuses the row where they are
+    d1 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    d2 = np.array([[0.0, 1.0], [0.0, -2.0], [1.0, 0.0]])
+    with pytest.raises(GeometryError, match="^parallel support lines do not meet$"):
+        _line_intersections(np.zeros((3, 2)), d1, np.ones((3, 2)), d2)
 
 
 def test_perimeter_monotone_on_nested_hulls():

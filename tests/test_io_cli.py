@@ -1,13 +1,19 @@
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mchords
-from mchords import UnitDisk, io
+from mchords import UnitDisk, io, verify
 from mchords.cli import _build_parser, main
 from mchords.errors import InvalidDiskError
+
+
+# stdout of `mchords verify-all --resolution 1024 --seed 0`, byte for byte
+VERIFY_ALL_PINNED = Path(__file__).with_name("verify_all_1024_seed0.txt")
 
 
 def write_curve(path, pts):
@@ -23,6 +29,22 @@ def test_curve_csv_round_trip(tmp_path):
     p.write_text(io.curve_csv(pts))
     back = io.read_curve_csv(str(p))
     assert np.array_equal(back, pts)  # %.17g is repr-exact
+
+
+def test_csv_rows_print_as_their_float64_values():
+    # the rows are formatted from rows.tolist(); a Python float prints as
+    # the numpy float64 scalar it came from, edge values included
+    rows = np.array([[-0.0, 0.0, 1e-300], [1e308, -1e308, np.nan],
+                     [np.inf, -np.inf, 5e-324], [1.0 / 3.0, -2.5, 0.1]])
+
+    def by_scalar(header, rows):
+        return "\n".join([header] + [",".join("%.17g" % v for v in row)
+                                     for row in rows]) + "\n"
+
+    assert io._csv("a,b,c", rows) == by_scalar("a,b,c", rows)
+    assert io.curve_csv(rows[:, :2]) == by_scalar("x,y", rows[:, :2])
+    assert by_scalar("a,b,c", rows).splitlines()[1:3] == [
+        "-0,0,1e-300", "1e+308,-1e+308,nan"]
 
 
 def test_curve_csv_headerless_and_errors(tmp_path):
@@ -263,8 +285,42 @@ def test_bisector_on_a_finely_sampled_radial_circle(tmp_path, capsys):
 
 def test_verify_all_command(capsys):
     assert main(["verify-all", "--resolution", "1024", "--seed", "0"]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert sum(ln.startswith("PASS ") for ln in out) == 16
+    out = capsys.readouterr().out
+    assert sum(ln.startswith("PASS ") for ln in out.splitlines()) == 16
+    assert out == VERIFY_ALL_PINNED.read_text()
+
+
+def _shift_lm(where):
+    return lambda lm_at: lambda T, q: lm_at(T, q) + 1.5 * where(T.n)
+
+
+# each rewritten check calls its kernel once per disk; a broken kernel
+# must show as that check's FAIL line, with its detail
+@pytest.mark.parametrize("kernel, broken, fails", [
+    ("_lm_at", _shift_lm(lambda n: True),
+     {"lm-builtins": r"euclidean lm off by 1\.5",
+      "lens-envelope": r"lm range \[3\.5\d+, [34]\.\d+\], max corner gauge 1\.000000000"}),
+    ("_lm_at", _shift_lm(lambda n: n == 4),
+     {"lm-builtins": r"square lm: dir0 4\.5, dir pi/4 3\.5"}),
+    ("_lm_at", _shift_lm(lambda n: n == 6),
+     {"lm-builtins": r"hexagon lm not constant 2 \(dev 1\.5\)"}),
+    ("_birkhoff_many", lambda f: lambda disk, v, u, tol: f(disk, v, u, -1e-3),
+     {"birkhoff-tangents": r"euclidean: radial not orthogonal to boundary edge"}),
+    ("_boundary_arclengths", lambda f: lambda disk, body, P, Q: f(disk, body, P, Q) + 1e-3,
+     {"arc-additivity": r"max additivity error 0\.000\d+ \(relative\)"}),
+    ("_parallelograms", lambda f: lambda disk, P, Q: 1.01 * f(disk, P, Q),
+     {"lens-envelope": r"lm range \[2\.\d+, 2\.\d+\], max corner gauge 1\.010000000"}),
+])
+def test_verify_all_fails_the_check_of_a_broken_kernel(monkeypatch, capsys, kernel,
+                                                       broken, fails):
+    monkeypatch.setattr(verify, kernel, broken(getattr(verify, kernel)))
+    assert main(["verify-all", "--resolution", "1024", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = {ln.split()[1]: ln.split(None, 2)[2] for ln in lines if ln.startswith("FAIL ")}
+    assert failed.keys() == fails.keys()
+    for name, detail in fails.items():
+        assert re.fullmatch(detail, failed[name]), failed[name]
+    assert len(lines) == 16
 
 
 def test_verify_all_takes_no_disk(capsys):

@@ -8,12 +8,13 @@ import pytest
 
 from mchords import (UnitDisk, bisector_sample, boundary_arclength,
                      build_involute, check_increasing_chords_dd, gauge,
-                     gauge_many, hypercube_curve, intersect_translates,
-                     is_birkhoff_orthogonal, lm_sweep, maxmin_search, perimeter,
-                     support, unit_vector, unit_vectors, InvalidDiskError,
-                     GeometryError)
+                     gauge_many, hypercube_curve, inscribed_hexagon,
+                     intersect_translates, is_birkhoff_orthogonal, lm_sweep,
+                     maxmin_search, perimeter, reuleaux, support, unit_vector,
+                     unit_vectors, InvalidDiskError, GeometryError)
 from mchords.involute import ConvexBody
-from mchords.normplane import _Stack
+from mchords.normplane import (_Stack, _birkhoff_many, _boundary_arclengths,
+                               _locate_many, _vertices_of, locate_on_boundary)
 from mchords.verify import (builtin_disks, random_disk, random_polygon_disk,
                             random_smooth_disk)
 
@@ -201,6 +202,80 @@ def test_boundary_arclength_rejects_offside():
     sq = UnitDisk.square()
     with pytest.raises(GeometryError):
         boundary_arclength(sq, sq, (0.5, 0.5), (1.0, 1.0))
+
+
+def _kernel_disks():
+    rng = np.random.default_rng(29)
+    return (list(builtin_disks(512).values())
+            + [random_polygon_disk(rng) for _ in range(4)]
+            + [random_smooth_disk(rng) for _ in range(2)])
+
+
+def _tangent_pairs(disk, rng, k):
+    """k unit vectors with the edge through each, and k random pairs."""
+    V = disk.vertices
+    X = unit_vectors(disk, rng.uniform(0.0, 2.0 * math.pi, k))
+    j = disk._T.cone(*X.T)
+    return (np.concatenate([X, rng.normal(0.0, 1.0, (k, 2))]),
+            np.concatenate([V[(j + 1) % len(V)] - V[j], rng.normal(0.0, 1.0, (k, 2))]))
+
+
+def test_birkhoff_kernel_rows_are_the_single_calls():
+    rng = np.random.default_rng(30)
+    for disk in _kernel_disks():
+        v, u = _tangent_pairs(disk, rng, 12)
+        for tol in (1e-9, 1e-3):
+            got = _birkhoff_many(disk, v, u, tol)
+            assert got.tolist() == [is_birkhoff_orthogonal(disk, a, b, tol)
+                                    for a, b in zip(v, u)]
+            assert [_birkhoff_many(disk, a[None], b[None], tol)[0]
+                    for a, b in zip(v, u)] == got.tolist()
+        assert _birkhoff_many(disk, v[:12], u[:12], 1e-7).all()
+
+
+def test_locate_and_arc_kernels_rows_are_the_single_calls():
+    rng = np.random.default_rng(31)
+    for disk in _kernel_disks():
+        hexagon = inscribed_hexagon(disk, unit_vector(disk, 0.4))
+        for body in (disk, reuleaux(disk, hexagon)[0]):
+            V = _vertices_of(body)
+            e = rng.integers(0, len(V), 6)  # vertices, then points inside edges
+            X = np.concatenate([V[e], V[e] + rng.uniform(0.0, 1.0, (6, 1))
+                                * (V[(e + 1) % len(V)] - V[e])])
+            i, t, snapped = _locate_many(V, X, "x")
+            for r, x in enumerate(X):
+                one = locate_on_boundary(V, x, "x")
+                assert (i[r], t[r]) == one[:2] and np.array_equal(snapped[r], one[2])
+            P, Q = X, X[rng.permutation(len(X))]
+            arcs = _boundary_arclengths(disk, body, P, Q)
+            assert arcs.tolist() == [boundary_arclength(disk, body, p, q)
+                                     for p, q in zip(P, Q)]
+
+
+def test_kernels_refuse_each_bad_row_with_its_message():
+    disk = UnitDisk.euclidean(256)
+    v, u = _tangent_pairs(disk, np.random.default_rng(32), 4)
+    for zero in (v, u):
+        zero[5] = 0.0
+        with pytest.raises(ValueError, match=r"^is_birkhoff_orthogonal: zero vector$"):
+            _birkhoff_many(disk, v, u, 1e-9)
+        with pytest.raises(ValueError, match=r"^is_birkhoff_orthogonal: zero vector$"):
+            is_birkhoff_orthogonal(disk, v[5], u[5])
+        zero[5] = 1.0
+    X = unit_vectors(disk, np.linspace(0.0, 3.0, 5))
+    X[3] *= 0.9
+    with pytest.raises(GeometryError) as single:
+        locate_on_boundary(disk.vertices, X[3], "p")
+    with pytest.raises(GeometryError) as batch:
+        _locate_many(disk.vertices, X, "p")
+    assert str(batch.value) == str(single.value)
+    assert str(batch.value).startswith("p (%.17g, %.17g) is not on the boundary" % tuple(X[3]))
+    with pytest.raises(GeometryError) as single:
+        boundary_arclength(disk, disk, X[0], X[3])
+    with pytest.raises(GeometryError) as batch:
+        _boundary_arclengths(disk, disk, X[:3], X[2:])
+    assert str(batch.value) == str(single.value)
+    assert str(batch.value).startswith("boundary_arclength: point (%.17g, %.17g)" % tuple(X[3]))
 
 
 def test_polygon_validation():
